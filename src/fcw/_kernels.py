@@ -1,138 +1,51 @@
 """Integer hot loops: mod-2 boundary reduction and maximum bipartite matching.
 
-Each kernel ships in two interchangeable implementations: a numba ``@njit``
-version (the default whenever numba imports) and a pure numpy fallback.
-Set ``FCW_NO_NUMBA=1`` to force the fallback.  Inputs and outputs are plain
-integer arrays, so the exact-rational layers above are byte-identical on
-either path; ``benchmarks/bench_kernels.py`` times the two against each
-other.
+Both kernels are plain Python on plain integers, so the exact-rational
+layers above them only ever see lists of ints.
 """
 
 from __future__ import annotations
 
-import os
-
-import numpy as np
-
-_FLAG = os.environ.get("FCW_NO_NUMBA", "").strip().lower()
-NUMBA_DISABLED = _FLAG in ("1", "true", "yes", "on")
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-USING_NUMBA = HAVE_NUMBA and not NUMBA_DISABLED
+# Read by the benchmark's environment stamp; no path is compiled.
+USING_NUMBA = False
 
 
 # -- mod-2 column reduction ---------------------------------------------------
 #
-# Columns are bitsets packed into uint64 words.  The classic persistence
-# pairing: sweep columns left to right, repeatedly adding earlier columns
-# that own the same lowest set bit; a column that survives claims its low
-# row, a column that cancels to zero creates a class.
+# Each column is a Python int used as a bitset over rows: bit_length() - 1 is
+# its lowest (largest-index) row and ^ adds two columns over GF(2).  The
+# classic persistence pairing sweeps columns left to right, adding the
+# reduced column that already owns the same low row until the low is new (the
+# column claims it) or the column cancels to zero (it creates a class).
 
 
-def pack_columns(columns, n: int) -> np.ndarray:
-    """Pack row-index lists into an (n, ceil(n/64)) uint64 bit matrix."""
-    words = max(1, (n + 63) >> 6)
-    bits = np.zeros((n, words), dtype=np.uint64)
-    for j, rows in enumerate(columns):
-        for i in rows:
-            bits[j, i >> 6] |= np.uint64(1) << np.uint64(i & 63)
-    return bits
-
-
-def _low_np(column) -> int:
-    nonzero = np.flatnonzero(column)
-    if nonzero.size == 0:
-        return -1
-    w = int(nonzero[-1])
-    return (w << 6) + int(column[w]).bit_length() - 1
-
-
-def _reduce_np(bits: np.ndarray, n: int) -> np.ndarray:
-    owner = np.full(n, -1, dtype=np.int64)
-    pair = np.full(n, -1, dtype=np.int64)
-    for j in range(n):
-        low = _low_np(bits[j])
-        while low >= 0 and owner[low] >= 0:
-            bits[j] ^= bits[owner[low]]
-            low = _low_np(bits[j])
-        if low >= 0:
-            owner[low] = j
-            pair[j] = low
-    return pair
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _low_njit(bits, j, words):
-        for w in range(words - 1, -1, -1):
-            word = bits[j, w]
-            if word != np.uint64(0):
-                b = 0
-                if word >> 32:
-                    b += 32
-                    word >>= 32
-                if word >> 16:
-                    b += 16
-                    word >>= 16
-                if word >> 8:
-                    b += 8
-                    word >>= 8
-                if word >> 4:
-                    b += 4
-                    word >>= 4
-                if word >> 2:
-                    b += 2
-                    word >>= 2
-                if word >> 1:
-                    b += 1
-                return (w << 6) + b
-        return -1
-
-    @njit(cache=True)
-    def _reduce_njit(bits, n):
-        words = bits.shape[1]
-        owner = np.full(n, -1, dtype=np.int64)
-        pair = np.full(n, -1, dtype=np.int64)
-        for j in range(n):
-            low = _low_njit(bits, j, words)
-            while low >= 0 and owner[low] >= 0:
-                k = owner[low]
-                for w in range(words):
-                    bits[j, w] ^= bits[k, w]
-                low = _low_njit(bits, j, words)
-            if low >= 0:
-                owner[low] = j
-                pair[j] = low
-        return pair
-
-else:  # pragma: no cover
-    _reduce_njit = None
-
-
-def reduce_pairing(columns) -> np.ndarray:
+def reduce_pairing(columns) -> list[int]:
     """pair[j] = row killed by column j, or -1 when column j creates a class.
 
-    `columns` lists, per cell in filtration order, the sorted row indices of
-    its boundary; every index must be smaller than the column's own index.
+    `columns` lists, per cell in filtration order, the row indices of its
+    boundary; every index must be smaller than the column's own index.
     """
-    n = len(columns)
-    bits = pack_columns(columns, n)
-    if USING_NUMBA:
-        return _reduce_njit(bits, n)
-    return _reduce_np(bits, n)
+    owner: dict[int, int] = {}
+    pair = []
+    for rows in columns:
+        column = 0
+        for i in rows:
+            column |= 1 << i
+        low = column.bit_length() - 1
+        while low in owner:
+            column ^= owner[low]
+            low = column.bit_length() - 1
+        if low >= 0:
+            owner[low] = column
+        pair.append(low)
+    return pair
 
 
 # -- maximum bipartite matching (Hopcroft-Karp) -------------------------------
 
 
-def _matching_py(indptr, indices, n_left: int, n_right: int) -> int:
+def max_bipartite_matching(n_left: int, n_right: int, adjacency) -> int:
+    """Size of a maximum matching; `adjacency[u]` lists the right-neighbours of u."""
     INF = n_left + 1
     pair_u = [-1] * n_left
     pair_v = [-1] * n_right
@@ -142,40 +55,39 @@ def _matching_py(indptr, indices, n_left: int, n_right: int) -> int:
     stack_v = [0] * (n_left + 1)
     total = 0
     while True:
-        head = tail = 0
-        queue = [0] * n_left
+        # BFS from the free left vertices layers the graph by alternating paths.
+        queue = []
         for u in range(n_left):
             if pair_u[u] < 0:
                 dist[u] = 0
-                queue[tail] = u
-                tail += 1
+                queue.append(u)
             else:
                 dist[u] = INF
         reachable_free = False
-        while head < tail:
-            u = queue[head]
-            head += 1
-            for k in range(indptr[u], indptr[u + 1]):
-                w = pair_v[indices[k]]
+        for u in queue:
+            for v in adjacency[u]:
+                w = pair_v[v]
                 if w < 0:
                     reachable_free = True
                 elif dist[w] == INF:
                     dist[w] = dist[u] + 1
-                    queue[tail] = w
-                    tail += 1
+                    queue.append(w)
         if not reachable_free:
             return total
+        # Iterative DFS along the layers augments a maximal set of disjoint
+        # shortest paths; a vertex that leads nowhere is retired for the phase.
         for u0 in range(n_left):
             if pair_u[u0] >= 0:
                 continue
             sp = 0
             stack_u[0] = u0
-            cursor[u0] = indptr[u0]
+            cursor[u0] = 0
             while sp >= 0:
                 u = stack_u[sp]
+                row = adjacency[u]
                 advanced = False
-                while cursor[u] < indptr[u + 1]:
-                    v = indices[cursor[u]]
+                while cursor[u] < len(row):
+                    v = row[cursor[u]]
                     cursor[u] += 1
                     w = pair_v[v]
                     if w < 0:
@@ -191,7 +103,7 @@ def _matching_py(indptr, indices, n_left: int, n_right: int) -> int:
                         stack_v[sp] = v
                         sp += 1
                         stack_u[sp] = w
-                        cursor[w] = indptr[w]
+                        cursor[w] = 0
                         advanced = True
                         break
                 if sp == -2:
@@ -199,95 +111,3 @@ def _matching_py(indptr, indices, n_left: int, n_right: int) -> int:
                 if not advanced:
                     dist[u] = INF
                     sp -= 1
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _matching_njit(indptr, indices, n_left, n_right):
-        INF = n_left + 1
-        pair_u = np.full(n_left, -1, dtype=np.int64)
-        pair_v = np.full(n_right, -1, dtype=np.int64)
-        dist = np.zeros(n_left, dtype=np.int64)
-        cursor = np.zeros(n_left, dtype=np.int64)
-        queue = np.zeros(n_left, dtype=np.int64)
-        stack_u = np.zeros(n_left + 1, dtype=np.int64)
-        stack_v = np.zeros(n_left + 1, dtype=np.int64)
-        total = 0
-        while True:
-            head = 0
-            tail = 0
-            for u in range(n_left):
-                if pair_u[u] < 0:
-                    dist[u] = 0
-                    queue[tail] = u
-                    tail += 1
-                else:
-                    dist[u] = INF
-            reachable_free = False
-            while head < tail:
-                u = queue[head]
-                head += 1
-                for k in range(indptr[u], indptr[u + 1]):
-                    w = pair_v[indices[k]]
-                    if w < 0:
-                        reachable_free = True
-                    elif dist[w] == INF:
-                        dist[w] = dist[u] + 1
-                        queue[tail] = w
-                        tail += 1
-            if not reachable_free:
-                return total
-            for u0 in range(n_left):
-                if pair_u[u0] >= 0:
-                    continue
-                sp = 0
-                stack_u[0] = u0
-                cursor[u0] = indptr[u0]
-                while sp >= 0:
-                    u = stack_u[sp]
-                    advanced = False
-                    while cursor[u] < indptr[u + 1]:
-                        v = indices[cursor[u]]
-                        cursor[u] += 1
-                        w = pair_v[v]
-                        if w < 0:
-                            stack_v[sp] = v
-                            for i in range(sp, -1, -1):
-                                pair_u[stack_u[i]] = stack_v[i]
-                                pair_v[stack_v[i]] = stack_u[i]
-                            total += 1
-                            sp = -2
-                            advanced = True
-                            break
-                        if dist[w] == dist[u] + 1:
-                            stack_v[sp] = v
-                            sp += 1
-                            stack_u[sp] = w
-                            cursor[w] = indptr[w]
-                            advanced = True
-                            break
-                    if sp == -2:
-                        break
-                    if not advanced:
-                        dist[u] = INF
-                        sp -= 1
-
-else:  # pragma: no cover
-    _matching_njit = None
-
-
-def max_bipartite_matching(n_left: int, n_right: int, adjacency) -> int:
-    """Size of a maximum matching; `adjacency[u]` lists the right-neighbours of u."""
-    indptr = np.zeros(n_left + 1, dtype=np.int64)
-    for u in range(n_left):
-        indptr[u + 1] = indptr[u] + len(adjacency[u])
-    indices = np.zeros(int(indptr[-1]), dtype=np.int64)
-    pos = 0
-    for u in range(n_left):
-        for v in adjacency[u]:
-            indices[pos] = v
-            pos += 1
-    if USING_NUMBA:
-        return int(_matching_njit(indptr, indices, n_left, n_right))
-    return _matching_py(indptr, indices, n_left, n_right)

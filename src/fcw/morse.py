@@ -17,7 +17,7 @@ from .complexes import Cell, FilteredComplex
 from .errors import InvalidBoundaries, NegativeWeight, ParseError, UnsupportedCell
 from .invariants import size_polynomial
 from .polynomial import Polynomial
-from .rationals import NEG_INF, as_fraction, is_finite
+from .rationals import NEG_INF, as_fraction, is_finite, parse_rational
 
 
 @dataclass(frozen=True)
@@ -64,9 +64,9 @@ def parse_morse_datum(text: str) -> MorseDatum:
         if len(fields) != 2:
             raise ParseError(f"line {lineno}: expected `value<TAB>index`, got {raw!r}")
         try:
-            value = Fraction(fields[0])
+            value = parse_rational(fields[0])
             index = int(fields[1])
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
         try:
             points.append(CriticalPoint(value, index))

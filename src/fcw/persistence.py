@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from ._kernels import max_bipartite_matching, reduce_pairing
 from .complexes import FilteredComplex
+from .errors import ValidationError
 from .rationals import POS_INF, format_extended, is_finite
 
 
@@ -83,23 +84,30 @@ def barcode(x: FilteredComplex) -> Barcode:
     Cells are ordered by (weight, dim, id) -- boundary-compatible because a
     boundary cell has strictly smaller dimension and no larger weight --
     and the standard column reduction pairs creators with destroyers.
-    Pairs with equal weights are dropped.
+    Pairs with equal weights are dropped.  A complex whose boundaries break
+    that order (an unknown cell, a wrong dimension or a heavier boundary
+    cell) raises ValidationError instead of yielding a wrong barcode.
     """
     order = sorted(x.cells, key=lambda c: (c.weight, c.dim, c.id))
     index = {c.id: i for i, c in enumerate(order)}
-    columns = [sorted(index[b] for b in c.boundary) for c in order]
+    columns = []
+    for j, c in enumerate(order):
+        # an unknown id maps to j itself, so it fails the same check
+        rows = [index.get(b, j) for b in c.boundary]
+        if rows and max(rows) >= j:
+            raise ValidationError(x.validate())
+        columns.append(rows)
     pair = reduce_pairing(columns)
     killed = set()
     bars = []
-    for j in range(len(order)):
-        i = int(pair[j])
+    for j, i in enumerate(pair):
         if i >= 0:
             killed.add(i)
             birth, death = order[i].weight, order[j].weight
             if birth < death:
                 bars.append(Bar(order[i].dim, birth, death))
     for i, c in enumerate(order):
-        if int(pair[i]) < 0 and i not in killed:
+        if pair[i] < 0 and i not in killed:
             bars.append(Bar(c.dim, c.weight, POS_INF))
     return Barcode(bars)
 

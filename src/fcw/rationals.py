@@ -7,6 +7,7 @@ arithmetic, so accidental mixing fails loudly.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 
@@ -95,6 +96,27 @@ def is_finite(v) -> bool:
     return not (v is NEG_INF or v is POS_INF)
 
 
+# An integer, p/q or a finite decimal, in ASCII digits: no exponent, no
+# underscores.  The length bound keeps parsed values, and the sums the
+# constructions and invariants make of a few of them, far below Python's
+# 4300-digit int-to-str limit, so whatever parses can be printed again.
+_RATIONAL = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+|\.[0-9]*)?|\.[0-9]+)")
+_MAX_LENGTH = 1000
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse an exact rational ('3', '-1/2', '0.25'); ValueError otherwise."""
+    s = text.strip()
+    if len(s) > _MAX_LENGTH:
+        raise ValueError(f"rational longer than {_MAX_LENGTH} characters")
+    if not _RATIONAL.fullmatch(s):
+        raise ValueError(f"not an exact rational: {text!r}")
+    try:
+        return Fraction(s)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator: {text!r}") from exc
+
+
 def parse_extended(text: str):
     """Parse '-inf', 'inf', or an exact rational ('3', '-1/2', '0.25')."""
     s = text.strip()
@@ -102,10 +124,7 @@ def parse_extended(text: str):
         return NEG_INF
     if s == "inf":
         return POS_INF
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not an extended rational: {text!r}") from exc
+    return parse_rational(s)
 
 
 def format_extended(v) -> str:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -188,6 +191,24 @@ def test_usage_error_exit_code():
     assert run([]).exit_code == 2
     assert run(["shift", TORUS]).exit_code == 2  # --by is required
     assert run(["shift", TORUS, "--by=-inf"]).exit_code == 2
+
+
+def test_exponent_notation_is_a_parse_error(tmp_path):
+    assert run(["shift", TORUS, "--by", "1e5000"]).exit_code == 2
+    doc = tmp_path / "big.fcw"
+    doc.write_text(Path(TORUS).read_text().replace('"weight": "4"', '"weight": "1e5000"'))
+    assert run(["euler", str(doc)]).exit_code == 2
+    datum = tmp_path / "big.morse"
+    datum.write_text("0\t0\n1e5000\t1\n")
+    assert run(["morse-build", str(datum)]).exit_code == 2
+
+
+def test_cli_import_loads_no_numeric_dependencies():
+    code = "import sys, fcw.cli; print(sorted({'numpy', 'numba'} & set(sys.modules)))"
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_repeated_runs_are_byte_identical():

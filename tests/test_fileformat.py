@@ -93,6 +93,24 @@ def test_weight_strings():
         parse_weight("1/0")
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["1e5000", "1E2", "1_0", "inf/2", "1 / 2", "0x10", "\u0663", pytest.param("1" * 1001, id="1001-digits")],
+)
+def test_weights_outside_the_documented_grammar_are_rejected(text):
+    with pytest.raises(ParseError):
+        parse_weight(text)
+
+
+def test_documented_weight_forms_parse():
+    assert parse_weight("+3") == 3
+    assert parse_weight("-0.5") == F(-1, 2)
+    assert parse_weight(".5") == F(1, 2)
+    assert parse_weight("5.") == 5
+    assert parse_weight("10/4") == F(5, 2)
+    assert parse_weight("1" * 1000) == int("1" * 1000)
+
+
 def test_even_boundary_coefficients_drop_out():
     doc = (FIXTURES / "s2hprime.fcw").read_text().replace('"m": 1', '"m": 2')
     parsed = parse_complex(doc)

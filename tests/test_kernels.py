@@ -1,24 +1,12 @@
-"""The two integer kernels: both implementations must agree exactly."""
+"""The two integer kernels, each checked against an independent oracle."""
 
 from __future__ import annotations
 
-import os
 import random
-import subprocess
-import sys
 
-import numpy as np
-import pytest
+from helpers import _gf2_rank
 
-from fcw import _kernels
-from fcw._kernels import (
-    HAVE_NUMBA,
-    max_bipartite_matching,
-    pack_columns,
-    reduce_pairing,
-)
-
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
+from fcw._kernels import max_bipartite_matching, reduce_pairing
 
 
 def random_columns(rng: random.Random, n: int, density: float = 0.3):
@@ -30,32 +18,38 @@ def random_columns(rng: random.Random, n: int, density: float = 0.3):
     return columns
 
 
-def test_pack_columns_crosses_word_boundaries():
-    n = 150
-    columns = [[] for _ in range(n)]
-    columns[149] = [0, 63, 64, 127, 128]
-    bits = pack_columns(columns, n)
-    assert bits.shape == (150, 3)
-    assert int(bits[149, 0]) == (1 << 63) | 1
-    assert int(bits[149, 1]) == (1 << 63) | 1
-    assert int(bits[149, 2]) == 1
+def lemma_pairing(columns):
+    """Pairs (i, j) by the pairing lemma, from GF(2) ranks of lower-left blocks.
+
+    (i, j) is a pair exactly when r(i,j) - r(i+1,j) - r(i,j-1) + r(i+1,j-1) = 1,
+    where r(i, j) is the rank of the block with rows >= i and columns <= j.
+    """
+    n = len(columns)
+    vectors = [sum(1 << i for i in rows) for rows in columns]
+    # r[i][j + 1] = r(i, j); column 0 of the table stands for the empty block
+    r = [[_gf2_rank([v >> i for v in vectors[:k]]) for k in range(n + 1)] for i in range(n + 1)]
+    pair = [-1] * n
+    for j in range(n):
+        for i in range(j):
+            if r[i][j + 1] - r[i + 1][j + 1] - r[i][j] + r[i + 1][j] == 1:
+                assert pair[j] == -1, "the lemma gives each column at most one row"
+                pair[j] = i
+    return pair
 
 
-def test_reduction_fallback_on_known_pairing():
+def test_reduce_pairing_on_known_pairing():
     # two 2-cells sharing one edge: second column cancels to zero
-    columns = [[], [0], [0]]
-    pair = _kernels._reduce_np(pack_columns(columns, 3), 3)
-    assert pair.tolist() == [-1, 0, -1]
+    assert reduce_pairing([[], [0], [0]]) == [-1, 0, -1]
 
 
-@needs_numba
-def test_reduction_paths_agree():
+def test_reduce_pairing_against_pairing_lemma():
     rng = random.Random(251)
-    for n in (0, 1, 17, 64, 65, 130):
-        columns = random_columns(rng, n)
-        np_pairs = _kernels._reduce_np(pack_columns(columns, n), n)
-        nb_pairs = _kernels._reduce_njit(pack_columns(columns, n), n)
-        assert np_pairs.tolist() == nb_pairs.tolist()
+    for n in (0, 1, 2, 17, 63, 64, 65):
+        for density in (0.05, 0.3):
+            columns = random_columns(rng, n, density)
+            # barcode() passes each column's rows unsorted
+            shuffled = [rng.sample(rows, len(rows)) for rows in columns]
+            assert reduce_pairing(shuffled) == lemma_pairing(columns)
 
 
 def brute_max_matching(n_left, n_right, adjacency):
@@ -89,45 +83,37 @@ def test_matching_against_kuhn_oracle():
         assert max_bipartite_matching(nl, nr, adjacency) == brute_max_matching(nl, nr, adjacency)
 
 
-@needs_numba
-def test_matching_paths_agree():
+def bottleneck_shaped_graph(rng, n1, n2, density):
+    """The bottleneck's feasibility graph: bars1 and diagonal copies of bars2 on
+    the left, bars2 and diagonal copies of bars1 on the right, with every
+    diagonal copy joined to every other (a complete n2 x n1 block)."""
+    adjacency = []
+    for i in range(n1):
+        row = [j for j in range(n2) if rng.random() < density]
+        if rng.random() < density:
+            row.append(n2 + i)
+        adjacency.append(row)
+    for j in range(n2):
+        row = list(range(n2, n2 + n1))
+        if rng.random() < density:
+            row.append(j)
+        adjacency.append(row)
+    return adjacency
+
+
+def test_matching_on_bottleneck_shaped_graphs():
     rng = random.Random(263)
-    for _ in range(40):
-        nl, nr = rng.randint(0, 25), rng.randint(0, 25)
-        adjacency = random_graph(rng, nl, nr)
-        indptr = np.zeros(nl + 1, dtype=np.int64)
-        for u in range(nl):
-            indptr[u + 1] = indptr[u] + len(adjacency[u])
-        indices = np.array(
-            [v for row in adjacency for v in row], dtype=np.int64
-        ).reshape(-1)
-        py = _kernels._matching_py(indptr, indices, nl, nr)
-        nb = int(_kernels._matching_njit(indptr, indices, nl, nr))
-        assert py == nb
+    perfect = 0
+    for _ in range(150):
+        n1, n2 = rng.randint(0, 12), rng.randint(0, 12)
+        adjacency = bottleneck_shaped_graph(rng, n1, n2, rng.uniform(0.05, 0.6))
+        n = n1 + n2
+        expected = brute_max_matching(n, n, adjacency)
+        assert max_bipartite_matching(n, n, adjacency) == expected
+        perfect += expected == n
+    assert 0 < perfect < 150  # both outcomes of the feasibility test occur
 
 
 def test_perfect_matching_detected():
     adjacency = [[0], [1], [2]]
     assert max_bipartite_matching(3, 3, adjacency) == 3
-
-
-def test_env_flag_disables_numba():
-    code = (
-        "from fcw import _kernels; "
-        "print(_kernels.USING_NUMBA)"
-    )
-    env = dict(os.environ, FCW_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "False"
-
-
-def test_reduce_pairing_uses_selected_path():
-    # barcode-level equality between the paths, driven through the public entry
-    rng = random.Random(269)
-    for n in (5, 40, 70):
-        columns = random_columns(rng, n)
-        via_public = reduce_pairing(columns)
-        via_np = _kernels._reduce_np(pack_columns(columns, n), n)
-        assert via_public.tolist() == via_np.tolist()

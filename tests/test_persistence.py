@@ -21,6 +21,7 @@ from fcw import (
     FilteredComplex,
     NEG_INF,
     POS_INF,
+    ValidationError,
     barcode,
     euler_from_barcode,
     sphere,
@@ -163,3 +164,21 @@ def test_barcode_multiset_semantics():
 def test_tsv_rendering_is_sorted_and_stable():
     got = barcode(two_sphere_two_peaks()).to_tsv()
     assert got == "dim\tbirth\tdeath\n0\t-inf\tinf\n1\t1/2\t1\n2\t1\tinf\n"
+
+
+
+@pytest.mark.parametrize(
+    "cells, kind",
+    [
+        # the 1-cell enters after the 2-cell it bounds
+        ([Cell("e", 1, 2), Cell("f", 2, 1, ["e"])], "WeightMonotonicityViolation"),
+        ([Cell("e", 1, 1, ["nope"])], "MissingBoundaryCell"),
+        # equal weights: a boundary cell one dimension too high sorts after its coface
+        ([Cell("e", 1, 1), Cell("f", 2, 1, ["e"]), Cell("g", 1, 1, ["f"])], "BoundaryDimensionViolation"),
+    ],
+)
+def test_barcode_rejects_a_broken_filtration_order(cells, kind):
+    x = FilteredComplex([Cell("pt", 0, NEG_INF), *cells], "pt")
+    with pytest.raises(ValidationError) as info:
+        barcode(x)
+    assert kind in [v.kind for v in info.value.violations]
