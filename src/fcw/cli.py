@@ -114,10 +114,11 @@ def _cmd_barcode(ns) -> str:
 
 def _cmd_euler_curve(ns) -> str:
     x = _load(ns.file)
-    bc = persistence.barcode(x)
-    rows = [("-inf", persistence.euler_from_barcode(bc, NEG_INF))]
-    rows.extend((str(r), persistence.euler_from_barcode(bc, r)) for r in x.spectrum())
-    return "r\teuler\n" + "".join(f"{r}\t{value}\n" for r, value in rows)
+    levels = [NEG_INF, *x.spectrum()]
+    values = persistence.euler_curve(persistence.barcode(x), levels)
+    return "r\teuler\n" + "".join(
+        f"{format_extended(r)}\t{value}\n" for r, value in zip(levels, values)
+    )
 
 
 def _cmd_bottleneck(ns) -> str:

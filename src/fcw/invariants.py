@@ -16,21 +16,12 @@ from .polynomial import Polynomial
 
 def size_polynomial(x: FilteredComplex) -> Polynomial:
     """Sum of t**weight over non-basepoint cells."""
-    total = Polynomial.zero()
-    for c in x.cells:
-        if c.id == x.basepoint:
-            continue
-        total = total + Polynomial.monomial(1, c.weight)
-    return total
+    return Polynomial((c.weight, 1) for c in x.cells if c.id != x.basepoint)
 
 
 def euler_polynomial(x: FilteredComplex, upto=None) -> Polynomial:
     """Signed sum of t**weight over non-basepoint cells with weight <= upto."""
-    total = Polynomial.zero()
-    for c in x.cells:
-        if c.id == x.basepoint:
-            continue
-        total = total + Polynomial.monomial((-1) ** c.dim, c.weight)
+    total = Polynomial((c.weight, (-1) ** c.dim) for c in x.cells if c.id != x.basepoint)
     if upto is not None:
         total = total.truncate(upto)
     return total

@@ -83,7 +83,8 @@ def morse_complex(datum: MorseDatum, boundaries=None) -> FilteredComplex:
 
     Cells are named c1, c2, ... in (value, index) order; `boundaries`
     optionally maps a cell id to the ids its attaching sphere runs over
-    (an iterable, or a map id -> integer coefficient reduced mod 2).
+    (a list of ids, or a map id -> integer coefficient reduced mod 2); any
+    other chain raises ParseError naming the cell.
     """
     ordered = datum.sorted_points()
     base_index = next(i for i, p in enumerate(ordered) if p.index == 0)
@@ -108,10 +109,15 @@ def _normalise_boundaries(boundaries) -> dict[str, frozenset]:
         return {}
     out = {}
     for cell_id, chain in boundaries.items():
-        if isinstance(chain, dict):
-            out[cell_id] = frozenset(k for k, v in chain.items() if int(v) % 2)
-        else:
+        if isinstance(chain, list) and all(isinstance(ref, str) for ref in chain):
             out[cell_id] = frozenset(chain)
+        elif isinstance(chain, dict) and all(type(v) is int for v in chain.values()):
+            out[cell_id] = frozenset(k for k, v in chain.items() if v % 2)
+        else:
+            raise ParseError(
+                f"boundary of cell {cell_id} must be a list of cell ids "
+                "or an object of integer coefficients"
+            )
     return out
 
 
@@ -186,10 +192,7 @@ def linearization_stats(lin: Linearization) -> LinearizationStats:
 
 def euler_poly_rel(lin: Linearization) -> Polynomial:
     """Signed attachment polynomial: a k-sphere entry contributes (-1)**(k+1) * t**r."""
-    total = Polynomial.zero()
-    for k, r in lin.entries:
-        total = total + Polynomial.monomial((-1) ** (k + 1), r)
-    return total
+    return Polynomial((r, (-1) ** (k + 1)) for k, r in lin.entries)
 
 
 def recovered_size(x: FilteredComplex) -> Fraction:

@@ -7,13 +7,15 @@ never die.  All endpoint arithmetic is exact.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from ._kernels import max_bipartite_matching, reduce_pairing
 from .complexes import FilteredComplex
 from .errors import ValidationError
-from .rationals import POS_INF, format_extended, is_finite
+from .rationals import NEG_INF, POS_INF, format_extended, is_finite
 
 
 @dataclass(frozen=True)
@@ -117,71 +119,133 @@ def euler_from_barcode(bc: Barcode, level) -> int:
     return sum((-1) ** b.dim for b in bc.bars if b.birth <= level and level < b.death)
 
 
+def euler_curve(bc: Barcode, levels) -> list[int]:
+    """euler_from_barcode(bc, r) for each r of the increasing `levels`, in one sweep.
+
+    Starts from the bars born at -inf and adds each finite birth's sign and
+    subtracts each finite death's as the sweep passes it.
+    """
+    value = sum((-1) ** b.dim for b in bc.bars if b.birth is NEG_INF)
+    events = []
+    for b in bc.bars:
+        sign = (-1) ** b.dim
+        if b.birth is not NEG_INF:
+            events.append((b.birth, sign))
+        if b.death is not POS_INF:
+            events.append((b.death, -sign))
+    events.sort(key=lambda e: e[0])
+    out = []
+    k = 0
+    for level in levels:
+        while k < len(events) and events[k][0] <= level:
+            value += events[k][1]
+            k += 1
+        out.append(value)
+    return out
+
+
 # -- bottleneck distance ------------------------------------------------------
+#
+# A bar's kind is which of its endpoints are infinite.  Bars of different kinds
+# are never matched (a finite slot against an infinite one costs +inf) and
+# only finite bars may go to the diagonal, so each kind is its own problem and
+# the distance is the largest of their answers.  Every finite endpoint is
+# scaled by S = 2 * lcm(denominators), which makes every cost and every
+# half-length an int; the answer c is returned as Fraction(c, S).
 
 
-def _slot_gap(a, b):
-    # None encodes an infinite gap
-    if not (is_finite(a) and is_finite(b)):
-        return Fraction(0) if a is b else None
-    return abs(a - b)
+def _split(bars, scale):
+    """Scaled (birth, death) pairs of the finite bars, and per infinite kind
+    the scaled finite endpoints of its bars (0 for [-inf, inf) bars)."""
+    finite, infinite = [], {}
+    for bar in bars:
+        b, d = (
+            v.numerator * (scale // v.denominator) if is_finite(v) else None
+            for v in (bar.birth, bar.death)
+        )
+        if b is not None and d is not None:
+            finite.append((b, d))
+        else:
+            key = b if b is not None else (d if d is not None else 0)
+            infinite.setdefault((b is None, d is None), []).append(key)
+    return finite, infinite
 
 
-def _match_cost(u: Bar, v: Bar):
-    births = _slot_gap(u.birth, v.birth)
-    deaths = _slot_gap(u.death, v.death)
-    if births is None or deaths is None:
-        return None
-    return max(births, deaths)
+def _box(bar, others, births, delta) -> list[int]:
+    """Indices of the bars of `others`, sorted with births `births`, that lie
+    within L-infinity distance delta of `bar`."""
+    b, d = bar
+    lo = bisect_left(births, b - delta)
+    hi = bisect_right(births, b + delta)
+    return [j for j in range(lo, hi) if abs(others[j][1] - d) <= delta]
 
 
-def _diagonal_cost(u: Bar):
-    if is_finite(u.birth) and is_finite(u.death):
-        return (u.death - u.birth) / 2
-    return None
-
-
-def _feasible(delta, cost, diag1, diag2, n1, n2) -> bool:
-    # Left side: bars1 then diagonal copies of bars2; right side: bars2 then
-    # diagonal copies of bars1.  A partial matching of cost <= delta exists
-    # iff this graph has a perfect matching.
+def _covers(forced, others, births, delta) -> bool:
+    """Whether one matching of cost <= delta covers every bar of `forced`."""
     adjacency = []
-    for i in range(n1):
-        row = [j for j in range(n2) if cost[i][j] is not None and cost[i][j] <= delta]
-        if diag1[i] is not None and diag1[i] <= delta:
-            row.append(n2 + i)
+    for bar in forced:
+        row = _box(bar, others, births, delta)
+        if not row:
+            return False
         adjacency.append(row)
-    diagonal_targets = list(range(n2, n2 + n1))
-    for j in range(n2):
-        row = list(diagonal_targets)
-        if diag2[j] is not None and diag2[j] <= delta:
-            row.append(j)
-        adjacency.append(row)
-    return max_bipartite_matching(n1 + n2, n1 + n2, adjacency) == n1 + n2
+    return max_bipartite_matching(len(forced), len(others), adjacency) == len(forced)
 
 
-def _bottleneck_single(bars1, bars2):
-    n1, n2 = len(bars1), len(bars2)
-    if n1 == 0 and n2 == 0:
-        return Fraction(0)
-    cost = [[_match_cost(u, v) for v in bars2] for u in bars1]
-    diag1 = [_diagonal_cost(u) for u in bars1]
-    diag2 = [_diagonal_cost(v) for v in bars2]
-    candidates = {Fraction(0)}
-    candidates.update(c for row in cost for c in row if c is not None)
-    candidates.update(d for d in diag1 if d is not None)
-    candidates.update(d for d in diag2 if d is not None)
+def _finite_bottleneck(bars1, bars2) -> int:
+    """Least delta at which the finite (birth, death) pairs admit a matching of
+    cost <= delta, every unmatched bar paying half its length to the diagonal."""
+    bars1, bars2 = sorted(bars1), sorted(bars2)
+    # each side against the other side's bars, sorted by birth
+    directions = [(bars1, bars2, [b for b, _ in bars2]), (bars2, bars1, [b for b, _ in bars1])]
+    # A bar is forced at delta when its half-length exceeds delta.  A pair
+    # costing c is an edge the matchings below can use only while one of its
+    # bars is forced, so beyond 0 and the half-lengths the only candidates
+    # are pairs within a bar's half-length of it.  The largest candidate is
+    # at least every half-length, where nothing is forced: it is feasible.
+    candidates = {0}
+    for bars, others, births in directions:
+        for b, d in bars:
+            half = (d - b) // 2
+            candidates.add(half)
+            candidates.update(
+                max(abs(others[j][0] - b), abs(others[j][1] - d))
+                for j in _box((b, d), others, births, half)
+            )
     ordered = sorted(candidates)
-    if not _feasible(ordered[-1], cost, diag1, diag2, n1, n2):
-        return POS_INF
+
+    def feasible(delta) -> bool:
+        # Mendelsohn-Dulmage: a delta-matching exists iff one matching covers
+        # every forced bar1 and another every forced bar2.
+        return all(
+            _covers([(b, d) for b, d in bars if d - b > 2 * delta], others, births, delta)
+            for bars, others, births in directions
+        )
+
     lo, hi = 0, len(ordered) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if _feasible(ordered[mid], cost, diag1, diag2, n1, n2):
+        if feasible(ordered[mid]):
             hi = mid
         else:
             lo = mid + 1
     return ordered[lo]
+
+
+def _bottleneck_single(bars1, bars2):
+    denominators = {
+        v.denominator for bar in (*bars1, *bars2) for v in (bar.birth, bar.death) if is_finite(v)
+    }
+    scale = 2 * lcm(*denominators)
+    finite1, infinite1 = _split(bars1, scale)
+    finite2, infinite2 = _split(bars2, scale)
+    worst = _finite_bottleneck(finite1, finite2)
+    for kind in infinite1.keys() | infinite2.keys():
+        xs, ys = infinite1.get(kind, []), infinite2.get(kind, [])
+        if len(xs) != len(ys):
+            return POS_INF
+        # one finite coordinate: pairing in sorted order is optimal
+        worst = max(worst, max(abs(x - y) for x, y in zip(sorted(xs), sorted(ys))))
+    return Fraction(worst, scale)
 
 
 def bottleneck(b1: Barcode, b2: Barcode, dim: int | None = None):
@@ -191,9 +255,18 @@ def bottleneck(b1: Barcode, b2: Barcode, dim: int | None = None):
     equal infinities at gap 0 and mixed infinite/finite slots at +inf; a bar
     may instead pay half its length to the diagonal (infinite bars cannot).
     With `dim` given only that degree is compared, otherwise the result is
-    the max over all degrees present.  The answer is the least candidate
-    value (a pairwise cost or half-length) at which a perfect matching
-    exists, found by bisection over the sorted candidates.
+    the max over all degrees present.
+
+    Within a degree the bars split by kind.  Infinite kinds need equal
+    counts on both sides (else the distance is +inf) and cost the largest
+    gap between their sorted finite endpoints.  Finite bars are solved in
+    integers, every endpoint scaled by twice the lcm of the denominators.
+    Bisection over the sorted candidate values (0, the half-lengths, and the
+    costs of pairs within a bar's half-length of it) finds the least delta
+    at which, by the Mendelsohn-Dulmage theorem, one matching of cost
+    <= delta covers every bar1 longer than 2*delta and another covers every
+    such bar2.  A bar's edges come from a delta-box around it, found by
+    bisection over the other side's sorted births.
     """
     if dim is not None:
         return _bottleneck_single(b1.restrict(dim).bars, b2.restrict(dim).bars)

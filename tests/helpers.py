@@ -2,7 +2,9 @@
 
 The oracles here deliberately avoid the library's algorithms: homology
 ranks come from plain Gaussian elimination, bottleneck values from
-permutation enumeration.
+permutation enumeration or, for mid-size barcodes, from perfect matchings
+of the diagonal-augmented graph in Fraction arithmetic (through the
+library's Hopcroft-Karp, itself checked against Kuhn's algorithm).
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from fcw import Bar, Barcode, Cell, FilteredComplex, NEG_INF, POS_INF
+from fcw._kernels import max_bipartite_matching
 
 WEIGHT_POOL = [
     Fraction(-1),
@@ -240,12 +243,65 @@ def brute_bottleneck_single(bars1, bars2):
     return best
 
 
-def brute_bottleneck(b1: Barcode, b2: Barcode):
+def _augmented_feasible(delta, cost, diag1, diag2, n1, n2) -> bool:
+    # Left side: bars1 then diagonal copies of bars2; right side: bars2 then
+    # diagonal copies of bars1.  A partial matching of cost <= delta exists
+    # iff this graph has a perfect matching.
+    adjacency = []
+    for i in range(n1):
+        row = [j for j in range(n2) if cost[i][j] is not None and cost[i][j] <= delta]
+        if diag1[i] is not None and diag1[i] <= delta:
+            row.append(n2 + i)
+        adjacency.append(row)
+    diagonal_targets = list(range(n2, n2 + n1))
+    for j in range(n2):
+        row = list(diagonal_targets)
+        if diag2[j] is not None and diag2[j] <= delta:
+            row.append(j)
+        adjacency.append(row)
+    return max_bipartite_matching(n1 + n2, n1 + n2, adjacency) == n1 + n2
+
+
+def reference_bottleneck_single(bars1, bars2):
+    """Least candidate (0, a pairwise cost or a half-length) at which the
+    diagonal-augmented graph has a perfect matching, by bisection over every
+    candidate; None for +inf.  Quadratic in the bars, so mid-size only."""
+    n1, n2 = len(bars1), len(bars2)
+    cost = [[_pair_cost(u, v) for v in bars2] for u in bars1]
+    diag1 = [_diag(u) for u in bars1]
+    diag2 = [_diag(v) for v in bars2]
+    candidates = {Fraction(0)}
+    candidates.update(c for row in cost for c in row if c is not None)
+    candidates.update(d for d in diag1 + diag2 if d is not None)
+    ordered = sorted(candidates)
+    if not _augmented_feasible(ordered[-1], cost, diag1, diag2, n1, n2):
+        return None
+    lo, hi = 0, len(ordered) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _augmented_feasible(ordered[mid], cost, diag1, diag2, n1, n2):
+            hi = mid
+        else:
+            lo = mid + 1
+    return ordered[lo]
+
+
+def _over_degrees(single, b1: Barcode, b2: Barcode, dim=None):
+    dims = [dim] if dim is not None else sorted(set(b1.dims()) | set(b2.dims()))
     best = Fraction(0)
-    for d in sorted(set(b1.dims()) | set(b2.dims())):
-        value = brute_bottleneck_single(b1.restrict(d).bars, b2.restrict(d).bars)
+    for d in dims:
+        value = single(b1.restrict(d).bars, b2.restrict(d).bars)
         if value is None:
             return None
         if value > best:
             best = value
     return best
+
+
+def brute_bottleneck(b1: Barcode, b2: Barcode):
+    return _over_degrees(brute_bottleneck_single, b1, b2)
+
+
+def reference_bottleneck(b1: Barcode, b2: Barcode, dim=None):
+    """Bottleneck distance by the augmented-graph oracle; None for +inf."""
+    return _over_degrees(reference_bottleneck_single, b1, b2, dim)

@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from helpers import torus, two_sphere_two_peaks
 
 from fcw import (
@@ -152,6 +153,17 @@ def test_morse_commands(tmp_path):
     built = tmp_path / "built.fcw"
     built.write_text(doc)
     assert payload("barcode", str(built)) == payload("barcode", S2HP)
+
+
+@pytest.mark.parametrize("chain", ['5', '{"c1": "x"}', '"c1"'])
+def test_malformed_boundary_chain_is_a_parse_error(tmp_path, chain):
+    datum = tmp_path / "heights.morse"
+    datum.write_text("0\t0\n1/2\t1\n1\t2\n")
+    attach = tmp_path / "attach.json"
+    attach.write_text(f'{{"c2": {chain}}}')
+    result = run(["morse-build", str(datum), "--boundaries", str(attach)])
+    assert result.exit_code == 2
+    assert result.error.startswith("ParseError") and "c2" in result.error
 
 
 def test_linearize_command():
