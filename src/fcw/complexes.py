@@ -12,10 +12,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import ValidationError
-from .rationals import NEG_INF, as_fraction, is_finite
+from .rationals import NEG_INF, as_fraction
 
 _ID_PATTERN = re.compile(r"[A-Za-z0-9_.*-]+\Z")
 
@@ -61,7 +63,7 @@ class Violation:
 class FilteredComplex:
     """Immutable filtered complex; construction only rejects duplicate ids."""
 
-    __slots__ = ("_cells", "_basepoint")
+    __slots__ = ("_cells", "_basepoint", "_sorted", "_spectrum", "_ranks")
 
     def __init__(self, cells: Iterable[Cell], basepoint: str):
         table: dict[str, Cell] = {}
@@ -73,6 +75,12 @@ class FilteredComplex:
             table[cell.id] = cell
         self._cells = table
         self._basepoint = basepoint
+        # two stable sorts give (dim, id) order without a key tuple per cell
+        ordered = sorted(table.values(), key=attrgetter("id"))
+        ordered.sort(key=attrgetter("dim"))
+        self._sorted = tuple(ordered)
+        self._spectrum = None
+        self._ranks = None
 
     @property
     def basepoint(self) -> str:
@@ -81,7 +89,7 @@ class FilteredComplex:
     @property
     def cells(self) -> tuple[Cell, ...]:
         """All cells sorted by (dim, id) -- the canonical enumeration order."""
-        return tuple(sorted(self._cells.values(), key=lambda c: (c.dim, c.id)))
+        return self._sorted
 
     def cell(self, cell_id: str) -> Cell:
         return self._cells[cell_id]
@@ -111,7 +119,8 @@ class FilteredComplex:
     def validate(self) -> list[Violation]:
         """Every broken invariant, in deterministic (dim, id) order."""
         out: list[Violation] = []
-        cells = self.cells
+        cells = self._sorted
+        rank = self.ranks()
         for c in cells:
             if not _ID_PATTERN.match(c.id):
                 out.append(Violation("BadCellId", c.id, "id must match [A-Za-z0-9_.*-]+"))
@@ -130,9 +139,11 @@ class FilteredComplex:
             if bp.boundary:
                 out.append(Violation("BadBasepoint", bp.id, "basepoint boundary not empty"))
         resolved = True
+        table = self._cells
         for c in cells:
+            top = rank[c.id]
             for ref in sorted(c.boundary):
-                other = self._cells.get(ref)
+                other = table.get(ref)
                 if other is None:
                     out.append(Violation("MissingBoundaryCell", c.id, f"references unknown cell {ref}"))
                     resolved = False
@@ -145,7 +156,7 @@ class FilteredComplex:
                             f"boundary cell {ref} has dim {other.dim}, expected {c.dim - 1}",
                         )
                     )
-                if not other.weight <= c.weight:
+                if rank[ref] > top:
                     out.append(
                         Violation(
                             "WeightMonotonicityViolation",
@@ -157,7 +168,7 @@ class FilteredComplex:
             for c in cells:
                 odd = set()
                 for ref in c.boundary:
-                    odd ^= self._cells[ref].boundary
+                    odd ^= table[ref].boundary
                 if odd:
                     out.append(
                         Violation(
@@ -184,7 +195,34 @@ class FilteredComplex:
 
     def spectrum(self) -> list[Fraction]:
         """Sorted distinct finite weights among the cells."""
-        return sorted({c.weight for c in self._cells.values() if is_finite(c.weight)})
+        self.ranks()
+        return list(self._spectrum)
+
+    def ranks(self) -> Mapping[str, int]:
+        """Each cell id's weight as an index into spectrum(); -1 for -inf.
+
+        Ranks order exactly as the weights do, so the filtration order and
+        the weight checks compare ints.  Built once per complex: weights are
+        grouped by (numerator, denominator), a pair of ints that hashes fast
+        where a Fraction does not, and only the distinct weights are sorted
+        as Fractions.
+        """
+        if self._ranks is None:
+            weights = list(map(attrgetter("weight"), self._sorted))
+            # A parsed document shares one object per distinct weight string,
+            # so grouping by identity first leaves few weights to key by value.
+            objects = dict(zip(map(id, weights), weights))
+            distinct = {(w.numerator, w.denominator): w for w in objects.values() if w is not NEG_INF}
+            self._spectrum = tuple(sorted(distinct.values()))
+            index = {(w.numerator, w.denominator): i for i, w in enumerate(self._spectrum)}
+            rank_of = {
+                oid: -1 if w is NEG_INF else index[w.numerator, w.denominator]
+                for oid, w in objects.items()
+            }
+            self._ranks = MappingProxyType(
+                dict(zip(map(attrgetter("id"), self._sorted), map(rank_of.__getitem__, map(id, weights))))
+            )
+        return self._ranks
 
     def euler_char_sublevel(self, level) -> int:
         """Unreduced Euler characteristic of the sublevel complex."""

@@ -38,7 +38,7 @@ def _plain_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _parse_cell(position: int, record) -> Cell:
+def _parse_cell(position: int, record, weights: dict) -> Cell:
     where = f"cell #{position}"
     if not isinstance(record, dict):
         raise ParseError(f"{where}: must be a JSON object")
@@ -56,7 +56,17 @@ def _parse_cell(position: int, record) -> Cell:
             raise ParseError(f"{where}: boundary coefficient for {ref!r} must be an integer")
         if coeff % 2:
             boundary.add(ref)
-    return Cell(record["id"], record["dim"], parse_weight(record["weight"]), frozenset(boundary))
+    text = record["weight"]
+    try:
+        if not isinstance(text, str):
+            weight = parse_weight(text)  # the type check raises
+        elif text in weights:
+            weight = weights[text]
+        else:
+            weight = weights[text] = parse_weight(text)
+    except ParseError as exc:
+        raise ParseError(f"{where}: {exc}") from exc
+    return Cell(record["id"], record["dim"], weight, frozenset(boundary))
 
 
 def parse_document(text: str) -> FilteredComplex:
@@ -75,7 +85,8 @@ def parse_document(text: str) -> FilteredComplex:
         raise ParseError("basepoint must be a string")
     if not isinstance(doc["cells"], list):
         raise ParseError("cells must be a list")
-    cells = [_parse_cell(k, record) for k, record in enumerate(doc["cells"])]
+    weights = {}  # weight string -> parsed value: each distinct string is parsed once
+    cells = [_parse_cell(k, record, weights) for k, record in enumerate(doc["cells"])]
     return FilteredComplex(cells, doc["basepoint"])
 
 

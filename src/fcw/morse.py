@@ -161,7 +161,9 @@ def canonical_linearization(x: FilteredComplex) -> Linearization:
     rejected, as are negative weights.
     """
     entries = []
-    for c in sorted(x.cells, key=lambda c: (c.weight, c.dim, c.id)):
+    rank = x.ranks()
+    # stable on the (dim, id) order of x.cells: (weight, dim, id) order
+    for c in sorted(x.cells, key=lambda c: rank[c.id]):
         if c.id == x.basepoint or not is_finite(c.weight):
             continue
         if c.weight < 0:

@@ -89,8 +89,11 @@ def barcode(x: FilteredComplex) -> Barcode:
     Pairs with equal weights are dropped.  A complex whose boundaries break
     that order (an unknown cell, a wrong dimension or a heavier boundary
     cell) raises ValidationError instead of yielding a wrong barcode.
+    Weights are compared by their integer ranks (FilteredComplex.ranks).
     """
-    order = sorted(x.cells, key=lambda c: (c.weight, c.dim, c.id))
+    rank = x.ranks()
+    # x.cells is in (dim, id) order and sorted() is stable: (rank, dim, id)
+    order = sorted(x.cells, key=lambda c: rank[c.id])
     index = {c.id: i for i, c in enumerate(order)}
     columns = []
     for j, c in enumerate(order):
@@ -100,18 +103,24 @@ def barcode(x: FilteredComplex) -> Barcode:
             raise ValidationError(x.validate())
         columns.append(rows)
     pair = reduce_pairing(columns)
+    ranks = [rank[c.id] for c in order]
+    # level[r] is the weight of rank r: spectrum, then +inf, and -inf at -1
+    level = [*x.spectrum(), POS_INF, NEG_INF]
+    never = len(level) - 2
     killed = set()
     bars = []
     for j, i in enumerate(pair):
         if i >= 0:
             killed.add(i)
-            birth, death = order[i].weight, order[j].weight
-            if birth < death:
-                bars.append(Bar(order[i].dim, birth, death))
+            if ranks[i] < ranks[j]:
+                bars.append((order[i].dim, ranks[i], ranks[j]))
     for i, c in enumerate(order):
         if pair[i] < 0 and i not in killed:
-            bars.append(Bar(c.dim, c.weight, POS_INF))
-    return Barcode(bars)
+            bars.append((c.dim, ranks[i], never))
+    # (dim, birth rank, death rank) orders bars as Barcode's (dim, birth,
+    # death) key does, so Barcode's own sort finds them already in order
+    bars.sort()
+    return Barcode(Bar(dim, level[b], level[d]) for dim, b, d in bars)
 
 
 def euler_from_barcode(bc: Barcode, level) -> int:

@@ -22,14 +22,20 @@ class Polynomial:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=()):
-        data: dict[Fraction, Fraction] = {}
+        # Sums per exponent keyed by (numerator, denominator), kept as ints
+        # while the coefficients are ints; each distinct exponent and sum
+        # becomes a Fraction once, at the end.
+        sums: dict[tuple[int, int], int | Fraction] = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for exp, coeff in items:
             if exp is NEG_INF:
                 continue
             exp = as_fraction(exp)
-            data[exp] = data.get(exp, _ZERO) + as_fraction(coeff)
-        self._terms = {e: c for e, c in data.items() if c != 0}
+            if type(coeff) is not int:
+                coeff = as_fraction(coeff)
+            key = (exp.numerator, exp.denominator)
+            sums[key] = sums.get(key, 0) + coeff
+        self._terms = {Fraction(*k): as_fraction(c) for k, c in sums.items() if c != 0}
 
     @classmethod
     def _raw(cls, terms: dict[Fraction, Fraction]) -> Polynomial:

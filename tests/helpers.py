@@ -5,6 +5,8 @@ ranks come from plain Gaussian elimination, bottleneck values from
 permutation enumeration or, for mid-size barcodes, from perfect matchings
 of the diagonal-augmented graph in Fraction arithmetic (through the
 library's Hopcroft-Karp, itself checked against Kuhn's algorithm).
+`reference_barcode` orders cells by their Fraction weights, where the
+library orders them by integer ranks.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from fcw import Bar, Barcode, Cell, FilteredComplex, NEG_INF, POS_INF
-from fcw._kernels import max_bipartite_matching
+from fcw._kernels import max_bipartite_matching, reduce_pairing
 
 WEIGHT_POOL = [
     Fraction(-1),
@@ -134,6 +136,27 @@ def random_barcode(rng: random.Random, max_bars: int = 8, dims=(0, 1, 2)) -> Bar
             later = [w for w in WEIGHT_POOL if birth is NEG_INF or w > birth]
             death = rng.choice(later) if later else POS_INF
         bars.append(Bar(dim, birth, death))
+    return Barcode(bars)
+
+
+# -- barcode oracle -----------------------------------------------------------
+
+
+def reference_barcode(x: FilteredComplex) -> Barcode:
+    """The sublevel barcode with cells sorted by (weight, dim, id) in Fraction
+    comparisons and zero-length pairs dropped by Fraction `birth < death`;
+    the reduction is the library's reduce_pairing."""
+    order = sorted(x.cells, key=lambda c: (c.weight, c.dim, c.id))
+    index = {c.id: i for i, c in enumerate(order)}
+    pair = reduce_pairing([[index[b] for b in c.boundary] for c in order])
+    killed = {i for i in pair if i >= 0}
+    bars = []
+    for j, i in enumerate(pair):
+        if i >= 0 and order[i].weight < order[j].weight:
+            bars.append(Bar(order[i].dim, order[i].weight, order[j].weight))
+    for i, c in enumerate(order):
+        if pair[i] < 0 and i not in killed:
+            bars.append(Bar(c.dim, c.weight, POS_INF))
     return Barcode(bars)
 
 

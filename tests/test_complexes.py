@@ -44,6 +44,29 @@ def test_weight_monotonicity_violation_detected():
     assert kinds == ["WeightMonotonicityViolation"]
 
 
+def test_weight_monotonicity_compares_values_not_forms():
+    equal = FilteredComplex(
+        [Cell("pt", 0, NEG_INF), Cell("e", 1, 1), Cell("f", 2, F(2, 2), ["e"])], "pt"
+    )
+    assert equal.validate() == []
+    heavier = FilteredComplex(
+        [Cell("pt", 0, NEG_INF), Cell("e", 1, F(1, 2)), Cell("f", 2, F(1, 3), ["e"])], "pt"
+    )
+    assert [str(v) for v in heavier.validate()] == [
+        "WeightMonotonicityViolation[f]: boundary cell e has weight 1/2 > 1/3"
+    ]
+
+
+def test_ranks_index_the_spectrum():
+    x = FilteredComplex(
+        [Cell("pt", 0, NEG_INF), Cell("q", 0, NEG_INF), Cell("a", 1, F(3, 2)),
+         Cell("b", 1, F(-1, 3)), Cell("c", 1, 1), Cell("d", 2, F(6, 4))],
+        "pt",
+    )
+    assert x.spectrum() == [F(-1, 3), 1, F(3, 2)]
+    assert x.ranks() == {"pt": -1, "q": -1, "a": 2, "b": 0, "c": 1, "d": 2}
+
+
 def test_extra_eternal_zero_cells_are_legal():
     x = FilteredComplex(
         [Cell("pt", 0, NEG_INF), Cell("q", 0, NEG_INF)],

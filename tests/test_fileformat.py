@@ -21,6 +21,7 @@ from fcw import (
     sphere,
     wedge,
 )
+from fcw.cli import run
 
 F = Fraction
 
@@ -151,3 +152,39 @@ def test_validation_failure_raises_with_cell_ids():
     assert "ghost" in str(err.value)
     # the structural parse alone accepts it
     assert parse_document(doc).validate() != []
+
+
+# -- each distinct weight string is parsed once per document ------------------
+
+
+@pytest.mark.parametrize("weight", ["[]", "{}", "1", "null"])
+def test_non_string_weights_are_parse_errors_naming_the_cell(tmp_path, weight):
+    doc = (FIXTURES / "torus.fcw").read_text().replace('"weight": "4"', f'"weight": {weight}')
+    with pytest.raises(ParseError, match=r"cell #3: weight must be a string"):
+        parse_document(doc)
+    path = tmp_path / "bad.fcw"
+    path.write_text(doc)
+    result = run(["euler", str(path)])
+    assert result.exit_code == 2
+    assert result.error.startswith("ParseError: cell #3:")
+
+
+def test_cells_sharing_a_weight_string_get_equal_weights():
+    doc = (FIXTURES / "torus.fcw").read_text().replace('"weight": "2"', '"weight": "1"')
+    x = parse_complex(doc)
+    assert x.cell("a").weight == x.cell("b").weight == 1
+    assert x.ranks()["a"] == x.ranks()["b"]
+
+
+def test_unreduced_and_reduced_weight_strings_parse_equal():
+    doc = (FIXTURES / "torus.fcw").read_text()
+    doc = doc.replace('"weight": "1"', '"weight": "2/4"').replace('"weight": "2"', '"weight": "1/2"')
+    x = parse_complex(doc)
+    assert x.cell("a").weight == x.cell("b").weight == F(1, 2)
+    assert x.spectrum() == [F(1, 2), 4]
+
+
+def test_cells_are_sorted_once():
+    x = parse_complex((FIXTURES / "torus.fcw").read_text())
+    assert x.cells is x.cells
+    assert [c.id for c in x.cells] == ["pt", "a", "b", "f"]

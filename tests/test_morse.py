@@ -165,6 +165,15 @@ def test_canonical_linearization_rejects_negative_weights():
         canonical_linearization(sphere(1, -1))
 
 
+def test_canonical_linearization_reports_the_lowest_bad_cell_first():
+    x = FilteredComplex(
+        [Cell("pt", 0, NEG_INF), Cell("v", 0, F(2)), Cell("e", 1, F(-1, 2)), Cell("g", 1, F(-1))],
+        "pt",
+    )
+    with pytest.raises(NegativeWeight, match="cell g "):
+        canonical_linearization(x)
+
+
 def test_linearization_entries_are_sorted_and_nonnegative():
     lin = Linearization([(1, F(2)), (0, F(2)), (3, F(1, 2))])
     assert lin.entries == ((3, F(1, 2)), (0, F(2)), (1, F(2)))

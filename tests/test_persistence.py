@@ -10,6 +10,7 @@ from helpers import (
     bars_alive,
     homology_ranks,
     random_complex,
+    reference_barcode,
     torus,
     two_sphere_two_peaks,
 )
@@ -99,6 +100,27 @@ def test_bars_born_at_a_weight_bounded_by_cells():
                 born = sum(1 for b in bc.bars if b.dim == d and b.birth == level)
                 cells = sum(1 for c in x.cells if c.dim == d and c.weight == level)
                 assert born <= cells
+
+
+def _mixed_weight_pool(rng):
+    """Weights with denominators up to 10**6, equal values given both as int
+    and as unreduced Fraction, and neighbours 10**-12 apart."""
+    pool = []
+    for _ in range(6):
+        w = Fraction(rng.randint(-3 * 10**6, 3 * 10**6), rng.randint(1, 10**6))
+        pool += [w, w + Fraction(1, 10**12), Fraction(w.numerator * 3, w.denominator * 3)]
+    for k in (-1, 0, 2):
+        pool += [k, Fraction(2 * k, 2), Fraction(k * 999_983, 999_983)]
+    return pool
+
+
+def test_barcode_equals_reference_on_library_built_complexes():
+    rng = random.Random(4242)
+    for _ in range(150):
+        x = random_complex(
+            rng, max_cells=30, weights=_mixed_weight_pool(rng), eternal_prob=0.2
+        )
+        assert barcode(x) == reference_barcode(x)
 
 
 def test_euler_from_barcode_examples():

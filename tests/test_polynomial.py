@@ -29,6 +29,18 @@ def test_monomial_direct_construction():
     assert Polynomial.monomial(-1, F(1, 2)).render() == "-1*t^1/2"
 
 
+@pytest.mark.parametrize("term", [(1, True), (1, 1.0), (1.5, 1), (True, 1), (F(1, 2), 0.5)])
+def test_inexact_terms_are_rejected(term):
+    with pytest.raises(TypeError):
+        Polynomial([term])
+
+
+def test_equal_exponents_in_any_form_sum_as_one_term():
+    p = Polynomial([(1, 1), (F(2, 2), 2), (F(1, 2), F(1, 3)), (F(3, 6), 1)])
+    assert p.terms() == ((F(1, 2), F(4, 3)), (F(1), F(3)))
+    assert Polynomial([(F(1, 2), 1), (F(2, 4), -1)]).is_zero()
+
+
 def test_add_cancels_terms():
     left = poly((1, 2), (F(1, 2), 1))
     assert left + poly((1, -1)) == poly((1, 1), (F(1, 2), 1))
