@@ -1,0 +1,50 @@
+"""The immutable-record base shared by fcw's value objects."""
+
+from __future__ import annotations
+
+from operator import attrgetter
+
+
+class Record:
+    """A value object whose fields are the ``__slots__`` of its classes.
+
+    A subclass lists its fields in ``__slots__`` and sets each once, in its
+    ``__init__``, through ``object.__setattr__``; afterwards assigning or
+    deleting a field raises AttributeError.  Equality and hashing use the
+    fields and hold only between instances of the same class, and the repr
+    is ``Name(field=value, ...)``.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls._fields + tuple(cls.__dict__.get("__slots__", ()))
+        # the fields' tuple, or the one field's value: a key within one class
+        cls._key = attrgetter(*cls._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, since __setattr__ refuses
+        return self.__class__, self._values()

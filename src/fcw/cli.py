@@ -9,30 +9,39 @@ rationals.  Exit codes: 0 success, 1 domain error, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections import Counter
-from dataclasses import dataclass
-from pathlib import Path
 
-from . import fileformat, invariants, morse, persistence
+# Each handler imports the layers beyond these when it runs, so a process
+# loads only what its subcommand needs.  product, smash and wedge stay
+# module globals: fcwbench's tracer patches them here.
+from . import fileformat
+from ._record import Record
 from .complexes import FilteredComplex, product, smash, sphere, wedge
 from .errors import FCWError, ParseError
 from .rationals import NEG_INF, format_extended
 
 
-@dataclass
-class CommandResult:
-    exit_code: int
-    payload: str
-    error: str = ""
+class CommandResult(Record):
+    """Exit code, stdout payload and stderr line of one command."""
+
+    __slots__ = ("exit_code", "payload", "error")
+
+    def __init__(self, exit_code: int, payload: str, error: str = ""):
+        setattr_ = object.__setattr__
+        setattr_(self, "exit_code", exit_code)
+        setattr_(self, "payload", payload)
+        setattr_(self, "error", error)
 
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 text ({exc})") from exc
 
 
 def _load(path: str) -> FilteredComplex:
@@ -62,6 +71,8 @@ def _cmd_validate(ns) -> CommandResult:
 
 
 def _cmd_info(ns) -> str:
+    from . import invariants
+
     x = _load(ns.file)
     report = invariants.invariant_report(x)
     spectrum = x.spectrum()
@@ -82,6 +93,8 @@ def _cmd_info(ns) -> str:
 
 
 def _cmd_euler(ns) -> str:
+    from . import invariants
+
     x = _load(ns.file)
     upto = fileformat.parse_weight(ns.upto) if ns.upto is not None else None
     poly = invariants.euler_polynomial(x, upto)
@@ -93,26 +106,38 @@ def _cmd_euler(ns) -> str:
 
 
 def _cmd_size(ns) -> str:
+    from . import invariants
+
     return invariants.size_polynomial(_load(ns.file)).render() + "\n"
 
 
 def _cmd_weighted_euler(ns) -> str:
+    from . import invariants
+
     return _scalar(invariants.weighted_euler_char(_load(ns.file)))
 
 
 def _cmd_match(ns) -> str:
+    from . import invariants
+
     return _scalar(invariants.matching_number(_load(ns.left), _load(ns.right)))
 
 
 def _cmd_kclass(ns) -> str:
+    from . import invariants
+
     return invariants.k_class(_load(ns.file), ns.n).render() + "\n"
 
 
 def _cmd_barcode(ns) -> str:
+    from . import persistence
+
     return persistence.barcode(_load(ns.file)).to_tsv()
 
 
 def _cmd_euler_curve(ns) -> str:
+    from . import persistence
+
     x = _load(ns.file)
     levels = [NEG_INF, *x.spectrum()]
     values = persistence.euler_curve(persistence.barcode(x), levels)
@@ -122,6 +147,8 @@ def _cmd_euler_curve(ns) -> str:
 
 
 def _cmd_bottleneck(ns) -> str:
+    from . import persistence
+
     left = persistence.barcode(_load(ns.left))
     right = persistence.barcode(_load(ns.right))
     return _scalar(format_extended(persistence.bottleneck(left, right, ns.dim)))
@@ -162,19 +189,20 @@ def _cmd_sphere(ns) -> str:
 
 
 def _cmd_morse_build(ns) -> str:
+    from . import morse
+
     datum = morse.parse_morse_datum(_read(ns.file))
     boundaries = None
     if ns.boundaries is not None:
-        try:
-            boundaries = json.loads(_read(ns.boundaries))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid boundaries JSON: {exc}") from exc
+        boundaries = fileformat.load_json(_read(ns.boundaries), "boundaries JSON")
         if not isinstance(boundaries, dict):
             raise ParseError("boundaries file must be a JSON object")
     return fileformat.serialize_complex(morse.morse_complex(datum, boundaries))
 
 
 def _cmd_morse_bounds(ns) -> str:
+    from . import morse
+
     datum = morse.parse_morse_datum(_read(ns.file))
     return (
         f"spheres: {morse.bound_size_spheres(datum)}\n"
@@ -183,6 +211,8 @@ def _cmd_morse_bounds(ns) -> str:
 
 
 def _cmd_linearize(ns) -> str:
+    from . import morse
+
     lin = morse.canonical_linearization(_load(ns.file))
     stats = morse.linearization_stats(lin)
     chi = morse.euler_poly_rel(lin)

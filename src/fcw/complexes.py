@@ -10,12 +10,11 @@ mutate their inputs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping
 
+from ._record import Record
 from .errors import ValidationError
 from .rationals import NEG_INF, as_fraction
 
@@ -28,33 +27,35 @@ def _as_weight(w):
     return as_fraction(w)
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(Record):
     """One cell: identifier, dimension, weight, and mod-2 boundary ids."""
 
-    id: str
-    dim: int
-    weight: object
-    boundary: frozenset = frozenset()
+    __slots__ = ("id", "dim", "weight", "boundary")
 
-    def __post_init__(self):
-        if not isinstance(self.dim, int) or isinstance(self.dim, bool):
-            raise TypeError(f"cell dimension must be an int, got {self.dim!r}")
-        object.__setattr__(self, "weight", _as_weight(self.weight))
-        object.__setattr__(self, "boundary", frozenset(self.boundary))
+    def __init__(self, id: str, dim: int, weight, boundary=frozenset()):
+        if not isinstance(dim, int) or isinstance(dim, bool):
+            raise TypeError(f"cell dimension must be an int, got {dim!r}")
+        setattr_ = object.__setattr__
+        setattr_(self, "id", id)
+        setattr_(self, "dim", dim)
+        setattr_(self, "weight", _as_weight(weight))
+        setattr_(self, "boundary", frozenset(boundary))
 
     @property
     def eternal(self) -> bool:
         return self.weight is NEG_INF
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """One broken invariant, attributed to the offending cell."""
 
-    kind: str
-    cell: str
-    detail: str
+    __slots__ = ("kind", "cell", "detail")
+
+    def __init__(self, kind: str, cell: str, detail: str):
+        setattr_ = object.__setattr__
+        setattr_(self, "kind", kind)
+        setattr_(self, "cell", cell)
+        setattr_(self, "detail", detail)
 
     def __str__(self):
         return f"{self.kind}[{self.cell}]: {self.detail}"

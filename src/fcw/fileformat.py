@@ -34,6 +34,16 @@ def parse_weight(text: str):
     return value
 
 
+def load_json(text: str, what: str):
+    """json.loads, with malformed and too deeply nested text as ParseError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid {what}: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"invalid {what}: nested too deeply") from exc
+
+
 def _plain_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -71,10 +81,7 @@ def _parse_cell(position: int, record, weights: dict) -> Cell:
 
 def parse_document(text: str) -> FilteredComplex:
     """Structural parse only; the result may still fail validate()."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
+    doc = load_json(text, "JSON")
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")
     if set(doc) != _DOCUMENT_KEYS:

@@ -6,9 +6,9 @@ and ``t**-inf = 0`` in the exponent ring.  Everything here is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .complexes import FilteredComplex
 from .errors import EulerMismatch
 from .polynomial import Polynomial
@@ -54,15 +54,25 @@ def k_class(x: FilteredComplex, n: int = 0) -> Polynomial:
     return euler_polynomial(x).scale(sign)
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(Record):
     """The headline exact invariants of one complex."""
 
-    size_poly: Polynomial
-    euler_poly: Polynomial
-    cell_count: Fraction
-    weighted_size: Fraction
-    weighted_euler: Fraction
+    __slots__ = ("size_poly", "euler_poly", "cell_count", "weighted_size", "weighted_euler")
+
+    def __init__(
+        self,
+        size_poly: Polynomial,
+        euler_poly: Polynomial,
+        cell_count: Fraction,
+        weighted_size: Fraction,
+        weighted_euler: Fraction,
+    ):
+        setattr_ = object.__setattr__
+        setattr_(self, "size_poly", size_poly)
+        setattr_(self, "euler_poly", euler_poly)
+        setattr_(self, "cell_count", cell_count)
+        setattr_(self, "weighted_size", weighted_size)
+        setattr_(self, "weighted_euler", weighted_euler)
 
 
 def invariant_report(x: FilteredComplex) -> InvariantReport:

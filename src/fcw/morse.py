@@ -10,9 +10,9 @@ size/Euler invariant and a documented choice for homology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .complexes import Cell, FilteredComplex
 from .errors import InvalidBoundaries, NegativeWeight, ParseError, UnsupportedCell
 from .invariants import size_polynomial
@@ -20,26 +20,25 @@ from .polynomial import Polynomial
 from .rationals import NEG_INF, as_fraction, is_finite, parse_rational
 
 
-@dataclass(frozen=True)
-class CriticalPoint:
+class CriticalPoint(Record):
     """A critical value together with its Morse index."""
 
-    value: Fraction
-    index: int
+    __slots__ = ("value", "index")
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", as_fraction(self.value))
+    def __init__(self, value: Fraction, index: int):
+        setattr_ = object.__setattr__
+        setattr_(self, "value", as_fraction(value))
+        setattr_(self, "index", index)
         if self.value < 0:
             raise ValueError(f"critical values must be nonnegative, got {self.value}")
-        if self.index < 0:
-            raise ValueError(f"Morse index must be nonnegative, got {self.index}")
+        if index < 0:
+            raise ValueError(f"Morse index must be nonnegative, got {index}")
 
 
-@dataclass(frozen=True)
-class MorseDatum:
+class MorseDatum(Record):
     """A nonempty critical-point list containing at least one minimum."""
 
-    points: tuple[CriticalPoint, ...]
+    __slots__ = ("points",)
 
     def __init__(self, points):
         pts = tuple(p if isinstance(p, CriticalPoint) else CriticalPoint(*p) for p in points)
@@ -131,11 +130,10 @@ def bound_size_wedges(datum: MorseDatum) -> Fraction:
     return sum({p.value for p in datum.points}, Fraction(0))
 
 
-@dataclass(frozen=True)
-class Linearization:
+class Linearization(Record):
     """An ordered list of (sphere dimension, weight) cone attachments."""
 
-    entries: tuple[tuple[int, Fraction], ...]
+    __slots__ = ("entries",)
 
     def __init__(self, entries):
         normalised = []
@@ -174,13 +172,16 @@ def canonical_linearization(x: FilteredComplex) -> Linearization:
     return Linearization(entries)
 
 
-@dataclass(frozen=True)
-class LinearizationStats:
+class LinearizationStats(Record):
     """Cone count and total weight of a linearization, via its polynomial."""
 
-    poly: Polynomial
-    count: Fraction
-    weight: Fraction
+    __slots__ = ("poly", "count", "weight")
+
+    def __init__(self, poly: Polynomial, count: Fraction, weight: Fraction):
+        setattr_ = object.__setattr__
+        setattr_(self, "poly", poly)
+        setattr_(self, "count", count)
+        setattr_(self, "weight", weight)
 
 
 def linearization_stats(lin: Linearization) -> LinearizationStats:

@@ -8,27 +8,28 @@ never die.  All endpoint arithmetic is exact.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from ._kernels import max_bipartite_matching, reduce_pairing
+from ._record import Record
 from .complexes import FilteredComplex
 from .errors import ValidationError
 from .rationals import NEG_INF, POS_INF, format_extended, is_finite
 
 
-@dataclass(frozen=True)
-class Bar:
+class Bar(Record):
     """One interval of a barcode in homological degree `dim`."""
 
-    dim: int
-    birth: object
-    death: object
+    __slots__ = ("dim", "birth", "death")
 
-    def __post_init__(self):
-        if not self.birth < self.death:
-            raise ValueError(f"bar needs birth < death, got [{self.birth}, {self.death})")
+    def __init__(self, dim: int, birth, death):
+        setattr_ = object.__setattr__
+        setattr_(self, "dim", dim)
+        setattr_(self, "birth", birth)
+        setattr_(self, "death", death)
+        if not birth < death:
+            raise ValueError(f"bar needs birth < death, got [{birth}, {death})")
 
 
 def _bar_key(bar: Bar):

@@ -1,0 +1,123 @@
+"""The public API: lazily loaded package names and immutable value objects."""
+
+from __future__ import annotations
+
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import fcw
+from fcw import (
+    NEG_INF,
+    POS_INF,
+    Bar,
+    Cell,
+    CriticalPoint,
+    InvariantReport,
+    Linearization,
+    LinearizationStats,
+    MorseDatum,
+    Polynomial,
+    Violation,
+)
+from fcw.cli import CommandResult
+
+F = Fraction
+
+
+def test_a_fresh_package_lists_its_names_before_loading_them():
+    code = (
+        "import sys, fcw\n"
+        "print(set(fcw.__all__) <= set(dir(fcw)), sorted(m for m in sys.modules if m.startswith('fcw.')))"
+    )
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "True []"
+
+
+def test_every_public_name_resolves():
+    for name in fcw.__all__:
+        assert getattr(fcw, name) is not None, name
+    namespace = {}
+    exec("from fcw import *", namespace)
+    assert set(fcw.__all__) <= set(namespace)
+    assert all(namespace[name] is getattr(fcw, name) for name in fcw.__all__)
+    assert set(fcw.__all__) <= set(dir(fcw))
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        fcw.no_such_name
+    from fcw import persistence
+
+    assert persistence.barcode is fcw.barcode
+
+
+POLY = Polynomial([(1, 1)])
+# each value class, one of its fields and the arguments of one instance
+VALUES = [
+    (Cell, "weight", ("a", 1, F(1, 2), frozenset({"pt"}))),
+    (Violation, "cell", ("Kind", "a", "detail")),
+    (Bar, "birth", (1, F(1, 2), 1)),
+    (InvariantReport, "cell_count", (POLY, POLY, F(1), F(1), F(1))),
+    (CriticalPoint, "value", (F(1, 2), 1)),
+    (MorseDatum, "points", ([(0, 0), (1, 1)],)),
+    (Linearization, "entries", ([(0, 1), (1, F(1, 2))],)),
+    (LinearizationStats, "count", (POLY, F(1), F(1))),
+    (CommandResult, "exit_code", (0, "ok\n", "")),
+]
+
+
+@pytest.mark.parametrize("cls, field, args", VALUES, ids=[cls.__name__ for cls, _, _ in VALUES])
+def test_value_objects_are_immutable_records(cls, field, args):
+    x, y = cls(*args), cls(*args)
+    with pytest.raises(AttributeError):
+        setattr(x, field, getattr(y, field))
+    with pytest.raises(AttributeError):
+        delattr(x, field)
+    with pytest.raises(AttributeError):
+        x.extra = 1
+    assert x == y and hash(x) == hash(y)
+    assert not x != y
+    subclass = type("Sub", (cls,), {"__slots__": ()})
+    assert x != subclass(*args) and subclass(*args) != x
+    assert pickle.loads(pickle.dumps(x)) == x
+
+
+def test_records_of_different_classes_never_compare_equal():
+    same = (1, 2, 3)
+    records = [Violation(*same), Bar(*same), LinearizationStats(*same), CommandResult(*same)]
+    for i, a in enumerate(records):
+        for b in records[i + 1 :]:
+            assert a != b and b != a
+
+
+def test_copies_keep_the_infinity_singletons():
+    bar = Bar(0, NEG_INF, POS_INF)
+    for copied in (pickle.loads(pickle.dumps(bar)), copy.deepcopy(bar), copy.copy(bar)):
+        assert copied == bar and copied.birth is NEG_INF and copied.death is POS_INF
+
+
+def test_record_repr_names_the_fields():
+    assert repr(Violation("Kind", "a", "x")) == "Violation(kind='Kind', cell='a', detail='x')"
+    assert repr(Bar(1, F(1, 2), POS_INF)) == "Bar(dim=1, birth=Fraction(1, 2), death=inf)"
+
+
+def test_cell_checks_and_coerces_its_fields():
+    with pytest.raises(TypeError):
+        Cell("x", True, 1)
+    with pytest.raises(TypeError):
+        Cell("x", 1.0, 1)
+    with pytest.raises(TypeError):
+        Cell("x", 1, 0.5)
+    cell = Cell("x", 1, 2, ["a", "a"])
+    assert cell.weight == F(2) and type(cell.weight) is F
+    assert cell.boundary == frozenset({"a"}) and type(cell.boundary) is frozenset
+    assert Cell(id="x", dim=1, weight=2, boundary=["a"]) == cell

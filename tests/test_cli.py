@@ -216,11 +216,48 @@ def test_exponent_notation_is_a_parse_error(tmp_path):
 
 
 def test_cli_import_loads_no_numeric_dependencies():
-    code = "import sys, fcw.cli; print(sorted({'numpy', 'numba'} & set(sys.modules)))"
+    """A fresh `fcw` process loads only the layers its subcommand runs."""
     src = str(Path(__file__).parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    never = ["numpy", "numba", "dataclasses", "inspect"]
+    for argv, unloaded in (
+        (None, never + ["fcw.morse", "fcw.persistence", "fcw._kernels", "fcw.invariants", "fcw.polynomial"]),
+        (["euler", TORUS], never + ["fcw.persistence", "fcw.morse"]),
+        (["barcode", TORUS], never + ["fcw.morse", "fcw.invariants"]),
+        (["linearize", TORUS], never),
+    ):
+        code = "import sys, fcw.cli\n"
+        if argv is not None:
+            code += f"fcw.cli.main({argv!r})\n"
+        code += f"print(sorted(set({unloaded!r}) & set(sys.modules)))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.splitlines()[-1] == "[]", argv
+
+
+def test_non_utf8_input_is_a_parse_error_naming_the_file(tmp_path):
+    binary = tmp_path / "binary.fcw"
+    binary.write_bytes(b'{"format": "fcw/1", "cells": "\xff\xfe"}\n\xd0\x00')
+    datum = tmp_path / "heights.morse"
+    datum.write_text("0\t0\n1\t1\n")
+    for argv in (
+        ["euler", str(binary)],
+        ["morse-bounds", str(binary)],
+        ["morse-build", str(datum), "--boundaries", str(binary)],
+    ):
+        result = run(argv)  # an exception escaping run() is what prints a traceback
+        assert result.exit_code == 2
+        assert result.error.startswith("ParseError:") and str(binary) in result.error
+
+
+def test_deeply_nested_json_is_a_parse_error(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    datum = tmp_path / "heights.morse"
+    datum.write_text("0\t0\n1\t1\n")
+    for argv in (["euler", str(deep)], ["morse-build", str(datum), "--boundaries", str(deep)]):
+        result = run(argv)
+        assert result.exit_code == 2
+        assert result.error.startswith("ParseError:")
 
 
 def test_repeated_runs_are_byte_identical():
