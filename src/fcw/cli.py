@@ -76,8 +76,8 @@ def _cmd_info(ns) -> str:
     x = _load(ns.file)
     report = invariants.invariant_report(x)
     spectrum = x.spectrum()
-    counts = Counter(c.dim for c in x.cells)
-    eternal = sum(1 for c in x.cells if c.eternal)
+    counts = Counter(x._dims)
+    eternal = x._ranked().count(-1)
     lines = [
         f"cells: {len(x)}",
         f"eternal-cells: {eternal}",
@@ -227,101 +227,81 @@ def _cmd_linearize(ns) -> str:
 # -- wiring -------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **options):
+    return flags, options
+
+
+_FILE = (_arg("file"),)
+_PAIR = (_arg("left"), _arg("right"))
+_FILTERED = _arg("--filtered", action="store_true", help="weights add instead of taking max")
+
+# name -> (handler, help, arguments), in the order `fcw --help` lists them
+_COMMANDS = {
+    "validate": (_cmd_validate, "list invariant violations (empty output = valid)", _FILE),
+    "info": (_cmd_info, "spectrum, weight range, counts and headline invariants", _FILE),
+    "euler": (_cmd_euler, "Euler polynomial", (
+        *_FILE,
+        _arg("--upto", metavar="R", default=None, help="truncate to weights <= R"),
+        _arg("--derivative", action="store_true", help="apply d/dt first"),
+        _arg("--at-one", action="store_true", dest="at_one", help="evaluate at t=1"),
+    )),
+    "size": (_cmd_size, "size polynomial", _FILE),
+    "weighted-euler": (_cmd_weighted_euler, "d/dt Euler polynomial at t=1", _FILE),
+    "match": (_cmd_match, "matching number of two filtrations", _PAIR),
+    "kclass": (_cmd_kclass, "stable class in the exponent ring", (
+        *_FILE, _arg("-n", type=int, default=0, help="suspension degree (default 0)"),
+    )),
+    "barcode": (_cmd_barcode, "persistence barcode as TSV", _FILE),
+    "euler-curve": (_cmd_euler_curve, "Euler characteristic at each spectral point", _FILE),
+    "bottleneck": (_cmd_bottleneck, "exact bottleneck distance of two barcodes", (
+        *_PAIR, _arg("--dim", type=int, default=None, help="restrict to one homological degree"),
+    )),
+    "wedge": (_cmd_wedge, "one-point union of two complexes", _PAIR),
+    "product": (_cmd_product, "cellwise product (naive weights by default)", (*_PAIR, _FILTERED)),
+    "smash": (_cmd_smash, "product with the wedge collapsed", (*_PAIR, _FILTERED)),
+    "suspend": (_cmd_suspend, "raise every cell one dimension", _FILE),
+    "shift": (_cmd_shift, "delay every finite weight", (
+        *_FILE, _arg("--by", required=True, metavar="A", help="rational shift amount"),
+    )),
+    "cutoff": (_cmd_cutoff, "raise weights to at least a floor", (
+        *_FILE, _arg("--at", required=True, metavar="A", help="rational floor"),
+    )),
+    "sphere": (_cmd_sphere, "basepoint plus one k-cell at level l", (
+        _arg("-k", type=int, required=True, help="cell dimension"),
+        _arg("-l", dest="level", required=True, help="weight (rational or -inf)"),
+    )),
+    "morse-build": (_cmd_morse_build, "cell-attachment model of a Morse datum", (
+        *_FILE, _arg("--boundaries", default=None, help="JSON file: cell id -> boundary chain"),
+    )),
+    "morse-bounds": (_cmd_morse_bounds, "cone-decomposition size bounds", _FILE),
+    "linearize": (_cmd_linearize, "canonical linearization stats and Euler polynomial", _FILE),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser of every subcommand, or of `command` alone."""
     parser = argparse.ArgumentParser(
         prog="fcw",
         description="Exact invariants, barcodes and constructions for filtered complexes.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, handler, help_text):
+    # With one subcommand the usage line still lists all of them, as the
+    # full parser's default metavar does.
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        handler, help_text, arguments = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
-        return p
-
-    p = command("validate", _cmd_validate, "list invariant violations (empty output = valid)")
-    p.add_argument("file")
-
-    p = command("info", _cmd_info, "spectrum, weight range, counts and headline invariants")
-    p.add_argument("file")
-
-    p = command("euler", _cmd_euler, "Euler polynomial")
-    p.add_argument("file")
-    p.add_argument("--upto", metavar="R", default=None, help="truncate to weights <= R")
-    p.add_argument("--derivative", action="store_true", help="apply d/dt first")
-    p.add_argument("--at-one", action="store_true", dest="at_one", help="evaluate at t=1")
-
-    p = command("size", _cmd_size, "size polynomial")
-    p.add_argument("file")
-
-    p = command("weighted-euler", _cmd_weighted_euler, "d/dt Euler polynomial at t=1")
-    p.add_argument("file")
-
-    p = command("match", _cmd_match, "matching number of two filtrations")
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = command("kclass", _cmd_kclass, "stable class in the exponent ring")
-    p.add_argument("file")
-    p.add_argument("-n", type=int, default=0, help="suspension degree (default 0)")
-
-    p = command("barcode", _cmd_barcode, "persistence barcode as TSV")
-    p.add_argument("file")
-
-    p = command("euler-curve", _cmd_euler_curve, "Euler characteristic at each spectral point")
-    p.add_argument("file")
-
-    p = command("bottleneck", _cmd_bottleneck, "exact bottleneck distance of two barcodes")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--dim", type=int, default=None, help="restrict to one homological degree")
-
-    p = command("wedge", _cmd_wedge, "one-point union of two complexes")
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = command("product", _cmd_product, "cellwise product (naive weights by default)")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--filtered", action="store_true", help="weights add instead of taking max")
-
-    p = command("smash", _cmd_smash, "product with the wedge collapsed")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--filtered", action="store_true", help="weights add instead of taking max")
-
-    p = command("suspend", _cmd_suspend, "raise every cell one dimension")
-    p.add_argument("file")
-
-    p = command("shift", _cmd_shift, "delay every finite weight")
-    p.add_argument("file")
-    p.add_argument("--by", required=True, metavar="A", help="rational shift amount")
-
-    p = command("cutoff", _cmd_cutoff, "raise weights to at least a floor")
-    p.add_argument("file")
-    p.add_argument("--at", required=True, metavar="A", help="rational floor")
-
-    p = command("sphere", _cmd_sphere, "basepoint plus one k-cell at level l")
-    p.add_argument("-k", type=int, required=True, help="cell dimension")
-    p.add_argument("-l", dest="level", required=True, help="weight (rational or -inf)")
-
-    p = command("morse-build", _cmd_morse_build, "cell-attachment model of a Morse datum")
-    p.add_argument("file")
-    p.add_argument("--boundaries", default=None, help="JSON file: cell id -> boundary chain")
-
-    p = command("morse-bounds", _cmd_morse_bounds, "cone-decomposition size bounds")
-    p.add_argument("file")
-
-    p = command("linearize", _cmd_linearize, "canonical linearization stats and Euler polynomial")
-    p.add_argument("file")
-
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
     return parser
 
 
 def run(argv) -> CommandResult:
-    parser = build_parser()
+    argv = list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
-        ns = parser.parse_args(list(argv))
+        ns = parser.parse_args(argv)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         return CommandResult(code, "")

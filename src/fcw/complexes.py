@@ -9,16 +9,15 @@ mutate their inputs.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
-from operator import attrgetter
 from types import MappingProxyType
 
 from ._record import Record
 from .errors import ValidationError
 from .rationals import NEG_INF, as_fraction
 
-_ID_PATTERN = re.compile(r"[A-Za-z0-9_.*-]+\Z")
+# the characters of [A-Za-z0-9_.*-]: a set test costs no regular-expression compile at import
+_ID_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.*-")
 
 
 def _as_weight(w):
@@ -62,26 +61,72 @@ class Violation(Record):
 
 
 class FilteredComplex:
-    """Immutable filtered complex; construction only rejects duplicate ids."""
+    """Immutable filtered complex; construction only rejects duplicate ids.
 
-    __slots__ = ("_cells", "_basepoint", "_sorted", "_spectrum", "_ranks")
+    The cells live in parallel tuples in the canonical (dim, id) order:
+    ``_ids``, ``_dims``, ``_weights`` and ``_bounds``, each boundary the
+    sorted tuple of its cells' positions in that order.  A boundary id that
+    names no cell gets position ``len(self) + k``, ``k`` indexing the sorted
+    ``_unknown`` ids, so validate() can still name it.  Weight ranks and the
+    spectrum are computed on first use, and ``Cell`` records only when
+    ``cells`` or ``cell()`` asks.  The other modules of fcw read the tuples.
+    """
+
+    __slots__ = (
+        "_basepoint", "_ids", "_dims", "_weights", "_bounds", "_unknown",
+        "_index", "_rank", "_spectrum", "_cells",
+    )
 
     def __init__(self, cells: Iterable[Cell], basepoint: str):
-        table: dict[str, Cell] = {}
-        for cell in cells:
-            if cell.id in table:
-                raise ValidationError(
-                    [Violation("DuplicateCellId", cell.id, "cell id appears twice")]
-                )
-            table[cell.id] = cell
-        self._cells = table
-        self._basepoint = basepoint
+        cells = list(cells)
+        ids, dims, weights = [c.id for c in cells], [c.dim for c in cells], [c.weight for c in cells]
+        order = self._fill(ids, dims, weights, [c.boundary for c in cells], basepoint)
+        self._cells = tuple(map(cells.__getitem__, order))
+
+    @classmethod
+    def _build(cls, ids, dims, weights, boundaries, basepoint) -> FilteredComplex:
+        """A complex from parallel lists in any order, each boundary given as
+        its cells' ids: the constructor behind parsing and the constructions."""
+        x = cls.__new__(cls)
+        x._fill(ids, dims, weights, boundaries, basepoint)
+        x._cells = None
+        return x
+
+    def _fill(self, ids, dims, weights, boundaries, basepoint) -> list[int]:
+        """Set the tuples from parallel lists; returns the canonical order as
+        positions in the lists."""
+        n = len(ids)
         # two stable sorts give (dim, id) order without a key tuple per cell
-        ordered = sorted(table.values(), key=attrgetter("id"))
-        ordered.sort(key=attrgetter("dim"))
-        self._sorted = tuple(ordered)
-        self._spectrum = None
-        self._ranks = None
+        order = sorted(range(n), key=ids.__getitem__)
+        order.sort(key=dims.__getitem__)
+        self._ids = tuple(map(ids.__getitem__, order))
+        self._index = index = dict(zip(self._ids, range(n)))
+        if len(index) < n:
+            seen = set()  # the first id given twice
+            twice = next(cell_id for cell_id in ids if cell_id in seen or seen.add(cell_id))
+            raise ValidationError([Violation("DuplicateCellId", twice, "cell id appears twice")])
+        self._dims = tuple(map(dims.__getitem__, order))
+        self._weights = tuple(map(weights.__getitem__, order))
+        boundaries = list(map(boundaries.__getitem__, order))
+        self._unknown = ()
+        try:
+            self._bounds = tuple([tuple(sorted(map(index.__getitem__, refs))) for refs in boundaries])
+        except KeyError:
+            self._unknown = tuple(sorted(set().union(*boundaries) - index.keys()))
+            index = {**index, **dict(zip(self._unknown, range(n, n + len(self._unknown))))}
+            self._bounds = tuple([tuple(sorted(map(index.__getitem__, refs))) for refs in boundaries])
+        self._basepoint = basepoint
+        self._rank = self._spectrum = None
+        return order
+
+    def _reweighted(self, weights) -> FilteredComplex:
+        """The same cells with new weights."""
+        x = FilteredComplex.__new__(FilteredComplex)
+        for name in self.__slots__:
+            setattr(x, name, getattr(self, name))
+        x._weights = tuple(weights)
+        x._rank = x._spectrum = x._cells = None
+        return x
 
     @property
     def basepoint(self) -> str:
@@ -90,95 +135,100 @@ class FilteredComplex:
     @property
     def cells(self) -> tuple[Cell, ...]:
         """All cells sorted by (dim, id) -- the canonical enumeration order."""
-        return self._sorted
+        if self._cells is None:
+            names = self._ids + self._unknown
+            self._cells = tuple(
+                Cell(cell_id, dim, weight, map(names.__getitem__, bound))
+                for cell_id, dim, weight, bound in zip(self._ids, self._dims, self._weights, self._bounds)
+            )
+        return self._cells
 
     def cell(self, cell_id: str) -> Cell:
-        return self._cells[cell_id]
+        return self.cells[self._index[cell_id]]
 
     def ids(self) -> tuple[str, ...]:
-        return tuple(c.id for c in self.cells)
+        return self._ids
 
     def __len__(self):
-        return len(self._cells)
+        return len(self._ids)
 
     def __contains__(self, cell_id: str):
-        return cell_id in self._cells
+        return cell_id in self._index
+
+    def _key(self) -> tuple:
+        return self._basepoint, self._ids, self._dims, self._weights, self._bounds, self._unknown
 
     def __eq__(self, other):
         if not isinstance(other, FilteredComplex):
             return NotImplemented
-        return self._basepoint == other._basepoint and self._cells == other._cells
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash((self._basepoint, frozenset(self._cells.values())))
+        return hash(self._key())
 
     def __repr__(self):
-        return f"FilteredComplex({len(self._cells)} cells, basepoint={self._basepoint!r})"
+        return f"FilteredComplex({len(self)} cells, basepoint={self._basepoint!r})"
 
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> list[Violation]:
-        """Every broken invariant, in deterministic (dim, id) order."""
+        """Every broken invariant, in deterministic (dim, id) order.
+
+        The checks compare positions, dimensions and ranks; messages are
+        formatted, and boundary ids sorted, only for the faulty cells.
+        """
         out: list[Violation] = []
-        cells = self._sorted
-        rank = self.ranks()
-        for c in cells:
-            if not _ID_PATTERN.match(c.id):
-                out.append(Violation("BadCellId", c.id, "id must match [A-Za-z0-9_.*-]+"))
-            if c.dim < 0:
-                out.append(Violation("NegativeDimension", c.id, f"dim {c.dim} < 0"))
-        if self._basepoint not in self._cells:
-            out.append(
-                Violation("MissingBasepoint", self._basepoint, "basepoint id not among cells")
-            )
+        ids, dims, weights, bounds = self._ids, self._dims, self._weights, self._bounds
+        n, names, rank = len(ids), ids + self._unknown, self._ranked()
+
+        def flag(kind, cell_id, detail):
+            out.append(Violation(kind, cell_id, detail))
+
+        if not _ID_CHARS.issuperset("".join(ids)) or "" in self._index or (n and min(dims) < 0):
+            for cell_id, dim in zip(ids, dims):
+                if not (cell_id and _ID_CHARS.issuperset(cell_id)):
+                    flag("BadCellId", cell_id, "id must match [A-Za-z0-9_.*-]+")
+                if dim < 0:
+                    flag("NegativeDimension", cell_id, f"dim {dim} < 0")
+        bp = self._index.get(self._basepoint)
+        if bp is None:
+            flag("MissingBasepoint", self._basepoint, "basepoint id not among cells")
         else:
-            bp = self._cells[self._basepoint]
-            if bp.dim != 0:
-                out.append(Violation("BadBasepoint", bp.id, f"basepoint dim {bp.dim} != 0"))
-            if not bp.eternal:
-                out.append(Violation("BadBasepoint", bp.id, f"basepoint weight {bp.weight} is finite"))
-            if bp.boundary:
-                out.append(Violation("BadBasepoint", bp.id, "basepoint boundary not empty"))
-        resolved = True
-        table = self._cells
-        for c in cells:
-            top = rank[c.id]
-            for ref in sorted(c.boundary):
-                other = table.get(ref)
-                if other is None:
-                    out.append(Violation("MissingBoundaryCell", c.id, f"references unknown cell {ref}"))
-                    resolved = False
-                    continue
-                if other.dim != c.dim - 1:
-                    out.append(
-                        Violation(
-                            "BoundaryDimensionViolation",
-                            c.id,
-                            f"boundary cell {ref} has dim {other.dim}, expected {c.dim - 1}",
-                        )
-                    )
-                if rank[ref] > top:
-                    out.append(
-                        Violation(
-                            "WeightMonotonicityViolation",
-                            c.id,
-                            f"boundary cell {ref} has weight {other.weight} > {c.weight}",
-                        )
-                    )
-        if resolved:
-            for c in cells:
-                odd = set()
-                for ref in c.boundary:
-                    odd ^= table[ref].boundary
-                if odd:
-                    out.append(
-                        Violation(
-                            "BoundarySquareViolation",
-                            c.id,
-                            f"boundary of boundary hits {sorted(odd)}",
-                        )
-                    )
-        return out
+            if dims[bp] != 0:
+                flag("BadBasepoint", ids[bp], f"basepoint dim {dims[bp]} != 0")
+            if weights[bp] is not NEG_INF:
+                flag("BadBasepoint", ids[bp], f"basepoint weight {weights[bp]} is finite")
+            if bounds[bp]:
+                flag("BadBasepoint", ids[bp], "basepoint boundary not empty")
+        # the cells of one dimension are one block of the canonical order
+        block = {d: (dims.index(d), dims.index(d) + dims.count(d)) for d in set(dims)}
+        resolved = not self._unknown
+        square = []  # ∂∂ = 0 is checked only when every boundary id resolves, and reported last
+        for j, bound in enumerate(bounds):
+            if not bound:
+                continue
+            dim, top = dims[j], rank[j]
+            lo, hi = block.get(dim - 1, (n, n))
+            if not (lo <= bound[0] and bound[-1] < hi and max(map(rank.__getitem__, bound)) <= top):
+                for r in sorted(bound, key=names.__getitem__):
+                    if r >= n:
+                        flag("MissingBoundaryCell", ids[j], f"references unknown cell {names[r]}")
+                        continue
+                    if dims[r] != dim - 1:
+                        detail = f"boundary cell {ids[r]} has dim {dims[r]}, expected {dim - 1}"
+                        flag("BoundaryDimensionViolation", ids[j], detail)
+                    if rank[r] > top:
+                        detail = f"boundary cell {ids[r]} has weight {weights[r]} > {weights[j]}"
+                        flag("WeightMonotonicityViolation", ids[j], detail)
+            if resolved:
+                # each cell of the boundaries' boundaries must appear an even number of times
+                hits = [k for r in bound for k in bounds[r]]
+                hits.sort()
+                if hits[::2] != hits[1::2]:
+                    odd = sorted(names[k] for k in set(hits) if hits.count(k) % 2)
+                    detail = f"boundary of boundary hits {odd}"
+                    square.append(Violation("BoundarySquareViolation", ids[j], detail))
+        return out + square
 
     def require_valid(self) -> FilteredComplex:
         violations = self.validate()
@@ -196,20 +246,24 @@ class FilteredComplex:
 
     def spectrum(self) -> list[Fraction]:
         """Sorted distinct finite weights among the cells."""
-        self.ranks()
+        self._ranked()
         return list(self._spectrum)
 
     def ranks(self) -> Mapping[str, int]:
         """Each cell id's weight as an index into spectrum(); -1 for -inf.
 
         Ranks order exactly as the weights do, so the filtration order and
-        the weight checks compare ints.  Built once per complex: weights are
-        grouped by (numerator, denominator), a pair of ints that hashes fast
-        where a Fraction does not, and only the distinct weights are sorted
-        as Fractions.
+        the weight checks compare ints.
         """
-        if self._ranks is None:
-            weights = list(map(attrgetter("weight"), self._sorted))
+        return MappingProxyType(dict(zip(self._ids, self._ranked())))
+
+    def _ranked(self) -> tuple[int, ...]:
+        """The ranks in the canonical order, built once per complex: weights
+        are grouped by (numerator, denominator), a pair of ints that hashes
+        fast where a Fraction does not, and only the distinct weights are
+        sorted as Fractions."""
+        if self._rank is None:
+            weights = self._weights
             # A parsed document shares one object per distinct weight string,
             # so grouping by identity first leaves few weights to key by value.
             objects = dict(zip(map(id, weights), weights))
@@ -220,46 +274,35 @@ class FilteredComplex:
                 oid: -1 if w is NEG_INF else index[w.numerator, w.denominator]
                 for oid, w in objects.items()
             }
-            self._ranks = MappingProxyType(
-                dict(zip(map(attrgetter("id"), self._sorted), map(rank_of.__getitem__, map(id, weights))))
-            )
-        return self._ranks
+            self._rank = tuple(map(rank_of.__getitem__, map(id, weights)))
+        return self._rank
 
     def euler_char_sublevel(self, level) -> int:
         """Unreduced Euler characteristic of the sublevel complex."""
         level = _as_weight(level)
-        return sum((-1) ** c.dim for c in self._cells.values() if c.weight <= level)
+        return sum((-1) ** d for d, w in zip(self._dims, self._weights) if w <= level)
 
     # -- reweighting --------------------------------------------------------
 
     def shift(self, amount) -> FilteredComplex:
         """Delay every finite weight by `amount`; eternal cells stay eternal."""
         amount = as_fraction(amount)
-        cells = [
-            Cell(c.id, c.dim, c.weight if c.eternal else c.weight + amount, c.boundary)
-            for c in self.cells
-        ]
-        return FilteredComplex(cells, self._basepoint)
+        return self._reweighted(w if w is NEG_INF else w + amount for w in self._weights)
 
     def cutoff(self, floor) -> FilteredComplex:
         """Raise every non-basepoint weight to at least `floor`."""
         floor = as_fraction(floor)
-        cells = []
-        for c in self.cells:
-            if c.id == self._basepoint:
-                cells.append(c)
-            elif c.eternal or c.weight < floor:
-                cells.append(Cell(c.id, c.dim, floor, c.boundary))
-            else:
-                cells.append(c)
-        return FilteredComplex(cells, self._basepoint)
+        bp = self._index.get(self._basepoint)
+        return self._reweighted(
+            w if i == bp or (w is not NEG_INF and w >= floor) else floor for i, w in enumerate(self._weights)
+        )
 
     # -- suspension ---------------------------------------------------------
 
     def suspend(self) -> FilteredComplex:
         """Raise every non-basepoint cell one dimension, same weights."""
         bp = self._basepoint
-        cells = [self._cells[bp]] if bp in self._cells else []
+        cells = [self.cell(bp)] if bp in self else []
         for c in self.cells:
             if c.id == bp:
                 continue
@@ -302,15 +345,17 @@ def sphere(k: int, level) -> FilteredComplex:
 
 def wedge(x: FilteredComplex, y: FilteredComplex) -> FilteredComplex:
     """One-point union: operand cells prefixed `l.` / `r.`, basepoints merged."""
-    cells = [Cell("pt", 0, NEG_INF)]
+    ids, dims, weights, boundaries = ["pt"], [0], [NEG_INF], [()]
     for prefix, operand in (("l.", x), ("r.", y)):
         bp = operand.basepoint
-        for c in operand.cells:
-            if c.id == bp:
-                continue
-            boundary = frozenset("pt" if b == bp else prefix + b for b in c.boundary)
-            cells.append(Cell(prefix + c.id, c.dim, c.weight, boundary))
-    return FilteredComplex(cells, "pt")
+        names = ["pt" if name == bp else prefix + name for name in operand._ids + operand._unknown]
+        for i, name in enumerate(operand._ids):
+            if name != bp:
+                ids.append(names[i])
+                dims.append(operand._dims[i])
+                weights.append(operand._weights[i])
+                boundaries.append([names[r] for r in operand._bounds[i]])
+    return FilteredComplex._build(ids, dims, weights, boundaries, "pt")
 
 
 def _pair_weight(wa, wb, filtered: bool):
@@ -326,58 +371,66 @@ def _pair_weight(wa, wb, filtered: bool):
     return max(wa, wb)
 
 
-def _pair_ids(left: Iterable[Cell], right: Iterable[Cell], reserved=()) -> dict:
-    """Deterministic unique ids for cell pairs, `l.<a>*r.<b>` plus a collision guard."""
+def _pair_ids(left, right, reserved=()) -> list[str]:
+    """Deterministic unique ids for the pairs of two id lists, row by row:
+    `l.<a>*r.<b>` plus a collision guard."""
     used = set(reserved)
-    table: dict[tuple[str, str], str] = {}
+    names = []
     for a in left:
         for b in right:
-            base = f"l.{a.id}*r.{b.id}"
-            name, k = base, 2
+            base = name = f"l.{a}*r.{b}"
+            k = 2
             while name in used:
                 name = f"{base}*{k}"
                 k += 1
             used.add(name)
-            table[(a.id, b.id)] = name
-    return table
+            names.append(name)
+    return names
+
+
+def _pair_cells(x, y, skip_x, skip_y, filtered, reserved=()):
+    """Parallel ids, dims, weights and boundaries of the pairs of cells of x
+    and y, leaving out cell `skip_x` of x and `skip_y` of y (positions, or
+    None) as pair members and as boundary cells."""
+    for operand in (x, y):
+        if operand._unknown:
+            raise ValidationError(operand.validate())
+    keep_x = [i for i in range(len(x)) if i != skip_x]
+    keep_y = [j for j in range(len(y)) if j != skip_y]
+    m = len(keep_y)
+    at_x, at_y = dict(zip(keep_x, range(len(keep_x)))), dict(zip(keep_y, range(m)))
+    # a pair's boundary: (boundary of its x cell) x its y cell, and its x cell x (boundary of its y cell)
+    down_x = [[at_x[a] * m for a in x._bounds[i] if a != skip_x] for i in keep_x]
+    down_y = [[at_y[b] for b in y._bounds[j] if b != skip_y] for j in keep_y]
+    ids = _pair_ids(map(x._ids.__getitem__, keep_x), list(map(y._ids.__getitem__, keep_y)), reserved)
+    rank_x, rank_y = x._ranked(), y._ranked()
+    sums = {}  # (rank in x, rank in y) -> weight: one object per distinct pair of weights
+    dims, weights, boundaries = [], [], []
+    for p, i in enumerate(keep_x):
+        for q, j in enumerate(keep_y):
+            key = rank_x[i], rank_y[j]
+            if key not in sums:
+                sums[key] = _pair_weight(x._weights[i], y._weights[j], filtered)
+            dims.append(x._dims[i] + y._dims[j])
+            weights.append(sums[key])
+            refs = {ids[a + q] for a in down_x[p]}
+            refs.update([ids[p * m + b] for b in down_y[q]])
+            boundaries.append(refs)
+    return ids, dims, weights, boundaries
 
 
 def product(x: FilteredComplex, y: FilteredComplex, filtered: bool = False) -> FilteredComplex:
     """Cellwise product; weights take the max (naive) or the sum (filtered)."""
-    xc, yc = x.cells, y.cells
-    names = _pair_ids(xc, yc)
-    cells = []
-    for a in xc:
-        for b in yc:
-            boundary = {names[(a2, b.id)] for a2 in a.boundary}
-            boundary |= {names[(a.id, b2)] for b2 in b.boundary}
-            cells.append(
-                Cell(
-                    names[(a.id, b.id)],
-                    a.dim + b.dim,
-                    _pair_weight(a.weight, b.weight, filtered),
-                    frozenset(boundary),
-                )
-            )
-    return FilteredComplex(cells, names[(x.basepoint, y.basepoint)])
+    for operand in (x, y):
+        if operand.basepoint not in operand:
+            raise ValidationError(operand.validate())
+    ids, dims, weights, boundaries = _pair_cells(x, y, None, None, filtered)
+    basepoint = ids[x._index[x.basepoint] * len(y) + y._index[y.basepoint]]
+    return FilteredComplex._build(ids, dims, weights, boundaries, basepoint)
 
 
 def smash(x: FilteredComplex, y: FilteredComplex, filtered: bool = False) -> FilteredComplex:
     """Product with the wedge collapsed: only pairs of non-basepoint cells survive."""
-    xc = [c for c in x.cells if c.id != x.basepoint]
-    yc = [c for c in y.cells if c.id != y.basepoint]
-    names = _pair_ids(xc, yc, reserved=("pt",))
-    cells = [Cell("pt", 0, NEG_INF)]
-    for a in xc:
-        for b in yc:
-            boundary = {names[(a2, b.id)] for a2 in a.boundary if a2 != x.basepoint}
-            boundary |= {names[(a.id, b2)] for b2 in b.boundary if b2 != y.basepoint}
-            cells.append(
-                Cell(
-                    names[(a.id, b.id)],
-                    a.dim + b.dim,
-                    _pair_weight(a.weight, b.weight, filtered),
-                    frozenset(boundary),
-                )
-            )
-    return FilteredComplex(cells, "pt")
+    skip_x, skip_y = x._index.get(x.basepoint), y._index.get(y.basepoint)
+    ids, dims, weights, boundaries = _pair_cells(x, y, skip_x, skip_y, filtered, reserved=("pt",))
+    return FilteredComplex._build(["pt", *ids], [0, *dims], [NEG_INF, *weights], [(), *boundaries], "pt")

@@ -10,10 +10,11 @@ terms -- so identical complexes always produce identical bytes.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 
-from .complexes import Cell, FilteredComplex
+from .complexes import FilteredComplex
 from .errors import ParseError, ValidationError
-from .rationals import POS_INF, format_extended, parse_extended
+from .rationals import POS_INF, parse_extended
 
 FORMAT_TAG = "fcw/1"
 
@@ -44,41 +45,6 @@ def load_json(text: str, what: str):
         raise ParseError(f"invalid {what}: nested too deeply") from exc
 
 
-def _plain_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _parse_cell(position: int, record, weights: dict) -> Cell:
-    where = f"cell #{position}"
-    if not isinstance(record, dict):
-        raise ParseError(f"{where}: must be a JSON object")
-    if set(record) != _CELL_KEYS:
-        raise ParseError(f"{where}: keys must be exactly {sorted(_CELL_KEYS)}")
-    if not isinstance(record["id"], str) or not record["id"]:
-        raise ParseError(f"{where}: id must be a nonempty string")
-    if not _plain_int(record["dim"]):
-        raise ParseError(f"{where}: dim must be an integer")
-    if not isinstance(record["boundary"], dict):
-        raise ParseError(f"{where}: boundary must be an object")
-    boundary = set()
-    for ref, coeff in record["boundary"].items():
-        if not _plain_int(coeff):
-            raise ParseError(f"{where}: boundary coefficient for {ref!r} must be an integer")
-        if coeff % 2:
-            boundary.add(ref)
-    text = record["weight"]
-    try:
-        if not isinstance(text, str):
-            weight = parse_weight(text)  # the type check raises
-        elif text in weights:
-            weight = weights[text]
-        else:
-            weight = weights[text] = parse_weight(text)
-    except ParseError as exc:
-        raise ParseError(f"{where}: {exc}") from exc
-    return Cell(record["id"], record["dim"], weight, frozenset(boundary))
-
-
 def parse_document(text: str) -> FilteredComplex:
     """Structural parse only; the result may still fail validate()."""
     doc = load_json(text, "JSON")
@@ -93,8 +59,37 @@ def parse_document(text: str) -> FilteredComplex:
     if not isinstance(doc["cells"], list):
         raise ParseError("cells must be a list")
     weights = {}  # weight string -> parsed value: each distinct string is parsed once
-    cells = [_parse_cell(k, record, weights) for k, record in enumerate(doc["cells"])]
-    return FilteredComplex(cells, doc["basepoint"])
+    ids, dims, values, boundaries = [], [], [], []
+    # json.loads makes plain dicts and ints: `type(v) is int` tells an int from a bool
+    for position, record in enumerate(doc["cells"]):
+        if type(record) is not dict:
+            raise ParseError(f"cell #{position}: must be a JSON object")
+        if record.keys() != _CELL_KEYS:
+            raise ParseError(f"cell #{position}: keys must be exactly {sorted(_CELL_KEYS)}")
+        cell_id, dim, text, chain = record["id"], record["dim"], record["weight"], record["boundary"]
+        if type(cell_id) is not str or not cell_id:
+            raise ParseError(f"cell #{position}: id must be a nonempty string")
+        if type(dim) is not int:
+            raise ParseError(f"cell #{position}: dim must be an integer")
+        if type(chain) is not dict:
+            raise ParseError(f"cell #{position}: boundary must be an object")
+        refs = []
+        for ref, coeff in chain.items():
+            if type(coeff) is not int:
+                raise ParseError(f"cell #{position}: boundary coefficient for {ref!r} must be an integer")
+            if coeff % 2:
+                refs.append(ref)
+        weight = weights.get(text) if type(text) is str else None
+        if weight is None:
+            try:
+                weight = weights[text] = parse_weight(text)  # a non-string raises
+            except ParseError as exc:
+                raise ParseError(f"cell #{position}: {exc}") from exc
+        ids.append(cell_id)
+        dims.append(dim)
+        values.append(weight)
+        boundaries.append(refs)
+    return FilteredComplex._build(ids, dims, values, boundaries, doc["basepoint"])
 
 
 def parse_complex(text: str) -> FilteredComplex:
@@ -106,16 +101,33 @@ def parse_complex(text: str) -> FilteredComplex:
     return built
 
 
+# The canonical text, as json.dumps(doc, indent=2, sort_keys=True) lays it out
+_DOCUMENT = '{\n  "basepoint": %s,\n  "cells": %s,\n  "format": "%s"\n}\n'
+_CELL = '    {\n      "boundary": %s,\n      "dim": %d,\n      "id": %s,\n      "weight": "%s"\n    }'
+
+
 def serialize_complex(x: FilteredComplex) -> str:
-    """Canonical document bytes; parse . serialize is the identity on these."""
-    cells = [
-        {
-            "id": c.id,
-            "dim": c.dim,
-            "weight": format_extended(c.weight),
-            "boundary": {ref: 1 for ref in sorted(c.boundary)},
-        }
-        for c in x.cells
-    ]
-    doc = {"format": FORMAT_TAG, "basepoint": x.basepoint, "cells": cells}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Canonical document bytes; parse . serialize is the identity on these.
+
+    The text is exactly json.dumps(doc, indent=2, sort_keys=True) + "\\n" of
+    the document, written straight from the complex's tuples: each id is
+    escaped once and each distinct weight formatted once.
+    """
+    ids, dims, bounds = x._ids, x._dims, x._bounds
+    n = len(ids)
+    names = ids + x._unknown
+    quoted = list(map(encode_basestring_ascii, names))
+    weight_text = [*map(str, x.spectrum()), "-inf"]  # by rank; -1 is -inf
+    cells = []
+    for j, rank in enumerate(x._ranked()):
+        bound = bounds[j]
+        if bound:
+            # positions within one dimension are in id order already
+            if bound[-1] >= n or dims[bound[0]] != dims[bound[-1]]:
+                bound = sorted(bound, key=names.__getitem__)
+            boundary = "{\n        " + ": 1,\n        ".join(map(quoted.__getitem__, bound)) + ": 1\n      }"
+        else:
+            boundary = "{}"
+        cells.append(_CELL % (boundary, dims[j], quoted[j], weight_text[rank]))
+    listed = "[\n" + ",\n".join(cells) + "\n  ]" if cells else "[]"
+    return _DOCUMENT % (encode_basestring_ascii(x.basepoint), listed, FORMAT_TAG)

@@ -6,22 +6,36 @@ and ``t**-inf = 0`` in the exponent ring.  Everything here is exact.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from ._record import Record
 from .complexes import FilteredComplex
 from .errors import EulerMismatch
 from .polynomial import Polynomial
+from .rationals import NEG_INF
+
+
+def _weight_polynomial(x: FilteredComplex, signed: bool) -> Polynomial:
+    """Sum of t**weight, times (-1)**dim if `signed`, over non-basepoint cells,
+    from the number of cells of each weight rank and dimension."""
+    rank = x._ranked()
+    counts = Counter(zip(rank, x._dims))
+    bp = x._index.get(x.basepoint)
+    if bp is not None:
+        counts[rank[bp], x._dims[bp]] -= 1
+    level = [*x.spectrum(), NEG_INF]  # level[-1] is -inf
+    return Polynomial((level[r], (-1) ** d * k if signed else k) for (r, d), k in counts.items() if k)
 
 
 def size_polynomial(x: FilteredComplex) -> Polynomial:
     """Sum of t**weight over non-basepoint cells."""
-    return Polynomial((c.weight, 1) for c in x.cells if c.id != x.basepoint)
+    return _weight_polynomial(x, signed=False)
 
 
 def euler_polynomial(x: FilteredComplex, upto=None) -> Polynomial:
     """Signed sum of t**weight over non-basepoint cells with weight <= upto."""
-    total = Polynomial((c.weight, (-1) ** c.dim) for c in x.cells if c.id != x.basepoint)
+    total = _weight_polynomial(x, signed=True)
     if upto is not None:
         total = total.truncate(upto)
     return total

@@ -17,7 +17,7 @@ from .complexes import Cell, FilteredComplex
 from .errors import InvalidBoundaries, NegativeWeight, ParseError, UnsupportedCell
 from .invariants import size_polynomial
 from .polynomial import Polynomial
-from .rationals import NEG_INF, as_fraction, is_finite, parse_rational
+from .rationals import NEG_INF, as_fraction, parse_rational
 
 
 class CriticalPoint(Record):
@@ -64,6 +64,8 @@ def parse_morse_datum(text: str) -> MorseDatum:
             raise ParseError(f"line {lineno}: expected `value<TAB>index`, got {raw!r}")
         try:
             value = parse_rational(fields[0])
+            if not (fields[1].isascii() and fields[1].isdigit()):
+                raise ValueError(f"Morse index must be ASCII decimal digits, got {fields[1]!r}")
             index = int(fields[1])
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
@@ -159,16 +161,18 @@ def canonical_linearization(x: FilteredComplex) -> Linearization:
     rejected, as are negative weights.
     """
     entries = []
-    rank = x.ranks()
-    # stable on the (dim, id) order of x.cells: (weight, dim, id) order
-    for c in sorted(x.cells, key=lambda c: rank[c.id]):
-        if c.id == x.basepoint or not is_finite(c.weight):
+    rank, dims, weights = x._ranked(), x._dims, x._weights
+    bp = x._index.get(x.basepoint)
+    # stable on the (dim, id) order of the positions: (weight, dim, id) order
+    for i in sorted(range(len(rank)), key=rank.__getitem__):
+        w = weights[i]
+        if i == bp or w is NEG_INF:
             continue
-        if c.weight < 0:
-            raise NegativeWeight(f"cell {c.id} has weight {c.weight} < 0")
-        if c.dim == 0:
-            raise UnsupportedCell(f"finite-weight 0-cell {c.id} has no attaching sphere")
-        entries.append((c.dim - 1, c.weight))
+        if w < 0:
+            raise NegativeWeight(f"cell {x._ids[i]} has weight {w} < 0")
+        if dims[i] == 0:
+            raise UnsupportedCell(f"finite-weight 0-cell {x._ids[i]} has no attaching sphere")
+        entries.append((dims[i] - 1, w))
     return Linearization(entries)
 
 

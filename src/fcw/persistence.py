@@ -90,21 +90,27 @@ def barcode(x: FilteredComplex) -> Barcode:
     Pairs with equal weights are dropped.  A complex whose boundaries break
     that order (an unknown cell, a wrong dimension or a heavier boundary
     cell) raises ValidationError instead of yielding a wrong barcode.
-    Weights are compared by their integer ranks (FilteredComplex.ranks).
+    Weights are compared by their integer ranks (FilteredComplex.ranks), and
+    the columns are the complex's boundary positions, renumbered.
     """
-    rank = x.ranks()
-    # x.cells is in (dim, id) order and sorted() is stable: (rank, dim, id)
-    order = sorted(x.cells, key=lambda c: rank[c.id])
-    index = {c.id: i for i, c in enumerate(order)}
+    if x._unknown:
+        raise ValidationError(x.validate())
+    rank = x._ranked()
+    # positions are in (dim, id) order and sorted() is stable: (rank, dim, id)
+    order = sorted(range(len(rank)), key=rank.__getitem__)
+    at = [0] * len(order)  # position -> index in the filtration order
+    for j, i in enumerate(order):
+        at[i] = j
+    bounds = x._bounds
     columns = []
-    for j, c in enumerate(order):
-        # an unknown id maps to j itself, so it fails the same check
-        rows = [index.get(b, j) for b in c.boundary]
+    for j, i in enumerate(order):
+        rows = [at[r] for r in bounds[i]]
         if rows and max(rows) >= j:
             raise ValidationError(x.validate())
         columns.append(rows)
     pair = reduce_pairing(columns)
-    ranks = [rank[c.id] for c in order]
+    ranks = list(map(rank.__getitem__, order))
+    dims = [x._dims[i] for i in order]
     # level[r] is the weight of rank r: spectrum, then +inf, and -inf at -1
     level = [*x.spectrum(), POS_INF, NEG_INF]
     never = len(level) - 2
@@ -114,10 +120,10 @@ def barcode(x: FilteredComplex) -> Barcode:
         if i >= 0:
             killed.add(i)
             if ranks[i] < ranks[j]:
-                bars.append((order[i].dim, ranks[i], ranks[j]))
-    for i, c in enumerate(order):
+                bars.append((dims[i], ranks[i], ranks[j]))
+    for i, dim in enumerate(dims):
         if pair[i] < 0 and i not in killed:
-            bars.append((c.dim, ranks[i], never))
+            bars.append((dim, ranks[i], never))
     # (dim, birth rank, death rank) orders bars as Barcode's (dim, birth,
     # death) key does, so Barcode's own sort finds them already in order
     bars.sort()

@@ -11,11 +11,12 @@ library orders them by integer ranks.
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from itertools import permutations
 
-from fcw import Bar, Barcode, Cell, FilteredComplex, NEG_INF, POS_INF
+from fcw import Bar, Barcode, Cell, FilteredComplex, NEG_INF, POS_INF, format_extended
 from fcw._kernels import max_bipartite_matching, reduce_pairing
 
 WEIGHT_POOL = [
@@ -137,6 +138,50 @@ def random_barcode(rng: random.Random, max_bars: int = 8, dims=(0, 1, 2)) -> Bar
             death = rng.choice(later) if later else POS_INF
         bars.append(Bar(dim, birth, death))
     return Barcode(bars)
+
+
+def grid_document(side: int, rng: random.Random) -> str:
+    """An `fcw/1` document of the lower-star cubical complex of a side x side
+    vertex grid with random vertex values (an edge or square takes the
+    largest value among its vertices)."""
+    value = [[Fraction(rng.randrange(24), rng.choice((1, 2, 3, 4))) for _ in range(side)] for _ in range(side)]
+    cells = [("pt", 0, NEG_INF, ())]
+    for i in range(side):
+        for j in range(side):
+            cells.append((f"v{i}_{j}", 0, value[i][j], ()))
+    for i in range(side):
+        for j in range(side - 1):
+            cells.append((f"h{i}_{j}", 1, max(value[i][j], value[i][j + 1]), (f"v{i}_{j}", f"v{i}_{j + 1}")))
+    for i in range(side - 1):
+        for j in range(side):
+            cells.append((f"u{i}_{j}", 1, max(value[i][j], value[i + 1][j]), (f"v{i}_{j}", f"v{i + 1}_{j}")))
+    for i in range(side - 1):
+        for j in range(side - 1):
+            w = max(value[i][j], value[i][j + 1], value[i + 1][j], value[i + 1][j + 1])
+            cells.append((f"s{i}_{j}", 2, w, (f"h{i}_{j}", f"h{i + 1}_{j}", f"u{i}_{j}", f"u{i}_{j + 1}")))
+    records = [
+        {"id": cid, "dim": dim, "weight": format_extended(w), "boundary": {ref: 1 for ref in refs}}
+        for cid, dim, w, refs in cells
+    ]
+    return json.dumps({"format": "fcw/1", "basepoint": "pt", "cells": records})
+
+
+# -- serialization oracle -----------------------------------------------------
+
+
+def reference_serialize(x: FilteredComplex) -> str:
+    """The canonical document through json.dumps over the complex's Cell records."""
+    cells = [
+        {
+            "id": c.id,
+            "dim": c.dim,
+            "weight": format_extended(c.weight),
+            "boundary": {ref: 1 for ref in sorted(c.boundary)},
+        }
+        for c in x.cells
+    ]
+    doc = {"format": "fcw/1", "basepoint": x.basepoint, "cells": cells}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 # -- barcode oracle -----------------------------------------------------------

@@ -19,7 +19,7 @@ from fcw import (
     serialize_complex,
     sphere,
 )
-from fcw.cli import run
+from fcw.cli import build_parser, run
 
 F = Fraction
 
@@ -203,6 +203,23 @@ def test_usage_error_exit_code():
     assert run([]).exit_code == 2
     assert run(["shift", TORUS]).exit_code == 2  # --by is required
     assert run(["shift", TORUS, "--by=-inf"]).exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["barcode", "--help"], [], ["no-such-command"], ["barcode"], ["bottleneck", "a.fcw"], ["barcode", "a", "b"]],
+)
+def test_one_subcommand_parser_answers_as_the_full_parser(capsys, argv):
+    try:
+        build_parser().parse_args(argv)
+        want_code = 0
+    except SystemExit as exc:
+        want_code = exc.code
+    want = capsys.readouterr()
+    assert run(argv).exit_code == want_code
+    got = capsys.readouterr()
+    assert (got.out, got.err) == (want.out, want.err)
+    assert want.out or want.err
 
 
 def test_exponent_notation_is_a_parse_error(tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -14,8 +15,11 @@ from fcw import (
     NEG_INF,
     ValidationError,
     euler_polynomial,
+    format_extended,
+    parse_document,
     point,
     product,
+    serialize_complex,
     smash,
     sphere,
     wedge,
@@ -430,3 +434,138 @@ def test_constructions_preserve_validity():
 
 def test_two_sphere_two_peaks_fixture_is_valid():
     assert two_sphere_two_peaks().validate() == []
+
+
+# -- the complex as a value: equality, hash and records -----------------------------
+
+SQUARE_CELLS = [
+    Cell("pt", 0, NEG_INF),
+    Cell("v", 0, F(1, 2)),
+    Cell("e", 1, 1, ["v", "pt"]),
+    Cell("l", 1, 2, ["v", "pt"]),
+    Cell("d", 2, 3, ["e", "l"]),
+]
+
+
+def _document(cells, basepoint="pt", weight=format_extended) -> str:
+    records = [
+        {"boundary": {ref: 1 for ref in c.boundary}, "id": c.id, "weight": weight(c.weight), "dim": c.dim}
+        for c in cells
+    ]
+    return json.dumps({"cells": records, "basepoint": basepoint, "format": "fcw/1"})
+
+
+def test_equal_complexes_from_every_construction_route_hash_equal():
+    built = FilteredComplex(SQUARE_CELLS, "pt")
+    shuffled = SQUARE_CELLS[::-1]
+    as_ints = [Cell(c.id, c.dim, int(c.weight) if c.weight in (1, 2, 3) else c.weight, c.boundary) for c in shuffled]
+    unreduced = [
+        Cell(c.id, c.dim, c.weight if c.weight is NEG_INF else F(6 * c.weight.numerator, 6 * c.weight.denominator), c.boundary)
+        for c in shuffled
+    ]
+    odd_forms = {"1/2": "0.50", "1": "2/2", "2": "+2", "3": "3.0"}
+    routes = [
+        FilteredComplex(shuffled, "pt"),
+        FilteredComplex(iter(as_ints), "pt"),
+        FilteredComplex(unreduced, "pt"),
+        parse_document(_document(shuffled)),
+        parse_document(_document(SQUARE_CELLS, weight=lambda w: odd_forms.get(format_extended(w), "-inf"))),
+        parse_document(serialize_complex(built)),
+    ]
+    for other in routes:
+        assert other == built and built == other
+        assert hash(other) == hash(built)
+        assert other.cells == built.cells
+    # parsed operands build the same constructions as library-built ones
+    parsed = parse_document(_document(shuffled))
+    for op in (wedge, product, smash):
+        assert op(parsed, built) == op(built, built)
+        assert hash(op(parsed, built)) == hash(op(built, built))
+    smashed = smash(built, built, filtered=True)
+    assert parse_document(serialize_complex(smashed)) == smashed
+
+
+@pytest.mark.parametrize(
+    "position, changed",
+    [
+        (1, Cell("w", 0, F(1, 2))),
+        (1, Cell("v", 1, F(1, 2))),
+        (1, Cell("v", 0, F(1, 3))),
+        (1, Cell("v", 0, NEG_INF)),
+        (2, Cell("e", 1, 1, ["v"])),
+        (2, Cell("e", 1, 1, ["v", "pt", "ghost"])),
+        (4, Cell("d", 2, 3, ["e", "l", "v"])),
+    ],
+)
+def test_complexes_differing_in_one_field_are_unequal(position, changed):
+    cells = list(SQUARE_CELLS)
+    cells[position] = changed
+    x, y = FilteredComplex(SQUARE_CELLS, "pt"), FilteredComplex(cells, "pt")
+    assert x != y and y != x
+    assert x != FilteredComplex(SQUARE_CELLS, "v")
+
+
+def test_cells_and_cell_return_records_equal_to_the_input():
+    rng = random.Random(83)
+    for _ in range(20):
+        source = random_complex(rng, max_cells=10)
+        cells = list(source.cells)
+        rng.shuffle(cells)
+        for x in (FilteredComplex(cells, "pt"), parse_document(serialize_complex(source))):
+            assert x.cells == tuple(sorted(cells, key=lambda c: (c.dim, c.id)))
+            assert x.cells is x.cells
+            for c in cells:
+                assert x.cell(c.id) == c and c.id in x
+            assert x.ids() == tuple(c.id for c in x.cells)
+            assert len(x) == len(cells)
+        with pytest.raises(KeyError):
+            x.cell("absent")
+
+
+def test_every_violation_kind_is_reported_in_order():
+    resolved = FilteredComplex(
+        [
+            Cell("pt", 1, F(1), ["v"]),
+            Cell("bad id", -1, 2),
+            Cell("v", 0, 3),
+            Cell("w", 0, F(1, 2)),
+            Cell("e", 1, 1, ["v", "w", "f"]),
+            Cell("f", 2, 5, ["e", "pt", "w"]),
+        ],
+        "pt",
+    )
+    assert [str(v) for v in resolved.validate()] == [
+        "BadCellId[bad id]: id must match [A-Za-z0-9_.*-]+",
+        "NegativeDimension[bad id]: dim -1 < 0",
+        "BadBasepoint[pt]: basepoint dim 1 != 0",
+        "BadBasepoint[pt]: basepoint weight 1 is finite",
+        "BadBasepoint[pt]: basepoint boundary not empty",
+        "BoundaryDimensionViolation[e]: boundary cell f has dim 2, expected 0",
+        "WeightMonotonicityViolation[e]: boundary cell f has weight 5 > 1",
+        "WeightMonotonicityViolation[e]: boundary cell v has weight 3 > 1",
+        "WeightMonotonicityViolation[pt]: boundary cell v has weight 3 > 1",
+        "BoundaryDimensionViolation[f]: boundary cell w has dim 0, expected 1",
+        "BoundarySquareViolation[e]: boundary of boundary hits ['e', 'pt', 'w']",
+        "BoundarySquareViolation[f]: boundary of boundary hits ['f', 'w']",
+    ]
+    unresolved = FilteredComplex(
+        [
+            Cell("x y", -2, 1),
+            Cell("a", 0, 1),
+            Cell("b", 1, 0, ["zz", "a", "ghost"]),
+            Cell("c", 2, NEG_INF, ["nowhere", "b", "a"]),
+        ],
+        "base",
+    )
+    assert [str(v) for v in unresolved.validate()] == [
+        "BadCellId[x y]: id must match [A-Za-z0-9_.*-]+",
+        "NegativeDimension[x y]: dim -2 < 0",
+        "MissingBasepoint[base]: basepoint id not among cells",
+        "WeightMonotonicityViolation[b]: boundary cell a has weight 1 > 0",
+        "MissingBoundaryCell[b]: references unknown cell ghost",
+        "MissingBoundaryCell[b]: references unknown cell zz",
+        "BoundaryDimensionViolation[c]: boundary cell a has dim 0, expected 1",
+        "WeightMonotonicityViolation[c]: boundary cell a has weight 1 > -inf",
+        "WeightMonotonicityViolation[c]: boundary cell b has weight 0 > -inf",
+        "MissingBoundaryCell[c]: references unknown cell nowhere",
+    ]

@@ -5,19 +5,23 @@ from __future__ import annotations
 from fractions import Fraction
 from pathlib import Path
 
-import pytest
-from helpers import random_complex, torus
-
 import random
 
+import pytest
+from helpers import grid_document, random_complex, reference_serialize, torus
+
 from fcw import (
+    Cell,
+    FilteredComplex,
     NEG_INF,
     ParseError,
     ValidationError,
+    barcode,
     parse_complex,
     parse_document,
     parse_weight,
     serialize_complex,
+    smash,
     sphere,
     wedge,
 )
@@ -188,3 +192,41 @@ def test_cells_are_sorted_once():
     x = parse_complex((FIXTURES / "torus.fcw").read_text())
     assert x.cells is x.cells
     assert [c.id for c in x.cells] == ["pt", "a", "b", "f"]
+
+
+# -- serialize_complex against json.dumps --------------------------------------------
+
+
+def test_serialization_matches_the_json_dumps_oracle():
+    rng = random.Random(97)
+    complexes = [random_complex(rng, max_cells=14) for _ in range(40)]
+    awkward = ['q"uote', "back\\slash", "ctl\x00\x01\x1f\x7f", "tab\there\nnl", "é", "日本", "😀", "\ud800"]
+    complexes.append(
+        FilteredComplex(
+            [Cell("pt", 0, NEG_INF, awkward[:2])]
+            + [Cell(name, k % 3, F(k, 3), awkward[:k] + ["ghost", "pt"]) for k, name in enumerate(awkward)],
+            "pt",
+        )
+    )
+    complexes.append(FilteredComplex([], "pt"))
+    complexes.append(FilteredComplex([Cell("pt", 0, NEG_INF), Cell("a", 1, 2), Cell("b", 0, F(-7, 2))], "nowhere"))
+    x, y = parse_complex((FIXTURES / "s2h.fcw").read_text()), torus(1, 2, 4)
+    complexes += [smash(x, y, filtered=True), smash(y, y), wedge(x, y)]
+    for x in complexes:
+        assert serialize_complex(x) == reference_serialize(x)
+        assert parse_document(serialize_complex(x)) == x
+
+
+def test_parse_validate_barcode_builds_no_cell_records(monkeypatch):
+    doc = grid_document(12, random.Random(5))
+    want = barcode(parse_complex(doc))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Cell record was built")
+
+    monkeypatch.setattr(Cell, "__init__", refuse)
+    x = parse_document(doc)
+    assert x.validate() == []
+    assert barcode(x) == want
+    with pytest.raises(AssertionError):
+        x.cells

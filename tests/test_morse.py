@@ -32,6 +32,7 @@ from fcw import (
     size_polynomial,
     sphere,
 )
+from fcw.cli import run
 
 F = Fraction
 
@@ -98,6 +99,17 @@ def test_parse_morse_datum_errors():
         parse_morse_datum("1\t1\n")  # no minimum
     with pytest.raises(ParseError):
         parse_morse_datum("-1\t0\n")
+
+
+@pytest.mark.parametrize("index", ["1_0", "\u0663", "+1", "-1", "1.0", "0x1", "\uff11"])
+def test_morse_index_is_ascii_decimal_digits(tmp_path, index):
+    text = f"0\t0\n1\t{index}\n"
+    with pytest.raises(ParseError, match=r"^line 2: "):
+        parse_morse_datum(text)
+    path = tmp_path / "points.morse"
+    path.write_text(text, encoding="utf-8")
+    result = run(["morse-build", str(path)])
+    assert result.exit_code == 2 and result.error.startswith("ParseError: line 2: ")
 
 
 def test_sphere_bound_examples():
