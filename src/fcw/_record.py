@@ -8,11 +8,13 @@ from operator import attrgetter
 class Record:
     """A value object whose fields are the ``__slots__`` of its classes.
 
-    A subclass lists its fields in ``__slots__`` and sets each once, in its
-    ``__init__``, through ``object.__setattr__``; afterwards assigning or
-    deleting a field raises AttributeError.  Equality and hashing use the
-    fields and hold only between instances of the same class, and the repr
-    is ``Name(field=value, ...)``.
+    A subclass lists its fields in ``__slots__``; the constructor takes
+    their values positionally, in that order.  A subclass that checks or
+    coerces its fields writes its own ``__init__``, which hands the values
+    on to this one.  Afterwards assigning or deleting a field raises
+    AttributeError.  Equality and hashing use the fields and hold only
+    between instances of the same class, and the repr is
+    ``Name(field=value, ...)``.
     """
 
     __slots__ = ()
@@ -23,6 +25,13 @@ class Record:
         cls._fields = cls._fields + tuple(cls.__dict__.get("__slots__", ()))
         # the fields' tuple, or the one field's value: a key within one class
         cls._key = attrgetter(*cls._fields)
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            name = self.__class__.__qualname__
+            raise TypeError(f"{name} takes {len(self._fields)} fields, got {len(values)}")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -27,12 +27,6 @@ class CommandResult(Record):
 
     __slots__ = ("exit_code", "payload", "error")
 
-    def __init__(self, exit_code: int, payload: str, error: str = ""):
-        setattr_ = object.__setattr__
-        setattr_(self, "exit_code", exit_code)
-        setattr_(self, "payload", payload)
-        setattr_(self, "error", error)
-
 
 def _read(path: str) -> str:
     try:
@@ -66,8 +60,8 @@ def _cmd_validate(ns) -> CommandResult:
     built = fileformat.parse_document(_read(ns.file))
     violations = built.validate()
     if not violations:
-        return CommandResult(0, "ok\n")
-    return CommandResult(1, "".join(f"{v}\n" for v in violations))
+        return CommandResult(0, "ok\n", "")
+    return CommandResult(1, "".join(f"{v}\n" for v in violations), "")
 
 
 def _cmd_info(ns) -> str:
@@ -304,7 +298,7 @@ def run(argv) -> CommandResult:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
-        return CommandResult(code, "")
+        return CommandResult(code, "", "")
     try:
         out = ns.handler(ns)
     except ParseError as exc:
@@ -313,7 +307,7 @@ def run(argv) -> CommandResult:
         return CommandResult(1, "", f"{type(exc).__name__}: {exc}")
     if isinstance(out, CommandResult):
         return out
-    return CommandResult(0, out)
+    return CommandResult(0, out, "")
 
 
 def main(argv=None) -> int:

@@ -34,11 +34,7 @@ class Cell(Record):
     def __init__(self, id: str, dim: int, weight, boundary=frozenset()):
         if not isinstance(dim, int) or isinstance(dim, bool):
             raise TypeError(f"cell dimension must be an int, got {dim!r}")
-        setattr_ = object.__setattr__
-        setattr_(self, "id", id)
-        setattr_(self, "dim", dim)
-        setattr_(self, "weight", _as_weight(weight))
-        setattr_(self, "boundary", frozenset(boundary))
+        super().__init__(id, dim, _as_weight(weight), frozenset(boundary))
 
     @property
     def eternal(self) -> bool:
@@ -49,12 +45,6 @@ class Violation(Record):
     """One broken invariant, attributed to the offending cell."""
 
     __slots__ = ("kind", "cell", "detail")
-
-    def __init__(self, kind: str, cell: str, detail: str):
-        setattr_ = object.__setattr__
-        setattr_(self, "kind", kind)
-        setattr_(self, "cell", cell)
-        setattr_(self, "detail", detail)
 
     def __str__(self):
         return f"{self.kind}[{self.cell}]: {self.detail}"
@@ -80,21 +70,19 @@ class FilteredComplex:
     def __init__(self, cells: Iterable[Cell], basepoint: str):
         cells = list(cells)
         ids, dims, weights = [c.id for c in cells], [c.dim for c in cells], [c.weight for c in cells]
-        order = self._fill(ids, dims, weights, [c.boundary for c in cells], basepoint)
-        self._cells = tuple(map(cells.__getitem__, order))
+        self._fill(ids, dims, weights, [c.boundary for c in cells], basepoint)
 
     @classmethod
     def _build(cls, ids, dims, weights, boundaries, basepoint) -> FilteredComplex:
         """A complex from parallel lists in any order, each boundary given as
-        its cells' ids: the constructor behind parsing and the constructions."""
+        its cells' distinct ids: the constructor behind every complex."""
         x = cls.__new__(cls)
         x._fill(ids, dims, weights, boundaries, basepoint)
-        x._cells = None
         return x
 
-    def _fill(self, ids, dims, weights, boundaries, basepoint) -> list[int]:
-        """Set the tuples from parallel lists; returns the canonical order as
-        positions in the lists."""
+    def _fill(self, ids, dims, weights, boundaries, basepoint):
+        """Set the tuples from parallel lists; each weight is a Fraction or
+        NEG_INF and each dimension an int."""
         n = len(ids)
         # two stable sorts give (dim, id) order without a key tuple per cell
         order = sorted(range(n), key=ids.__getitem__)
@@ -116,8 +104,7 @@ class FilteredComplex:
             index = {**index, **dict(zip(self._unknown, range(n, n + len(self._unknown))))}
             self._bounds = tuple([tuple(sorted(map(index.__getitem__, refs))) for refs in boundaries])
         self._basepoint = basepoint
-        self._rank = self._spectrum = None
-        return order
+        self._rank = self._spectrum = self._cells = None
 
     def _reweighted(self, weights) -> FilteredComplex:
         """The same cells with new weights."""
@@ -241,8 +228,16 @@ class FilteredComplex:
     def sublevel(self, level) -> FilteredComplex:
         """The subcomplex of cells with weight <= level; weights retained."""
         level = _as_weight(level)
-        kept = [c for c in self.cells if c.weight <= level or c.id == self._basepoint]
-        return FilteredComplex(kept, self._basepoint)
+        bp = self._index.get(self._basepoint)
+        kept = [i for i, w in enumerate(self._weights) if w <= level or i == bp]
+        names = self._ids + self._unknown
+        return FilteredComplex._build(
+            [self._ids[i] for i in kept],
+            [self._dims[i] for i in kept],
+            [self._weights[i] for i in kept],
+            [{names[r] for r in self._bounds[i]} for i in kept],  # dropped cells become unknown ids
+            self._basepoint,
+        )
 
     def spectrum(self) -> list[Fraction]:
         """Sorted distinct finite weights among the cells."""
@@ -301,26 +296,29 @@ class FilteredComplex:
 
     def suspend(self) -> FilteredComplex:
         """Raise every non-basepoint cell one dimension, same weights."""
-        bp = self._basepoint
-        cells = [self.cell(bp)] if bp in self else []
-        for c in self.cells:
-            if c.id == bp:
-                continue
-            cells.append(
-                Cell(c.id, c.dim + 1, c.weight, frozenset(b for b in c.boundary if b != bp))
-            )
-        return FilteredComplex(cells, bp)
+        bp, at = self._basepoint, self._index.get(self._basepoint)
+        names = self._ids + self._unknown
+        # the basepoint keeps its dimension and boundary; the other cells drop it from theirs
+        return FilteredComplex._build(
+            self._ids,
+            [d if i == at else d + 1 for i, d in enumerate(self._dims)],
+            self._weights,
+            [{names[r] for r in bound if i == at or names[r] != bp} for i, bound in enumerate(self._bounds)],
+            bp,
+        )
 
     # -- renaming -----------------------------------------------------------
 
     def rename(self, mapping: Mapping[str, str]) -> FilteredComplex:
         """Relabel cells; ids missing from the mapping keep their name."""
-        new_id = lambda i: mapping.get(i, i)
-        cells = [
-            Cell(new_id(c.id), c.dim, c.weight, frozenset(new_id(b) for b in c.boundary))
-            for c in self.cells
-        ]
-        return FilteredComplex(cells, new_id(self._basepoint))
+        names = [mapping.get(name, name) for name in self._ids + self._unknown]
+        return FilteredComplex._build(
+            names[: len(self)],
+            self._dims,
+            self._weights,
+            [{names[r] for r in bound} for bound in self._bounds],
+            mapping.get(self._basepoint, self._basepoint),
+        )
 
 
 # -- generators --------------------------------------------------------------
@@ -328,16 +326,16 @@ class FilteredComplex:
 
 def point(basepoint_id: str = "pt") -> FilteredComplex:
     """The one-point complex."""
-    return FilteredComplex([Cell(basepoint_id, 0, NEG_INF)], basepoint_id)
+    return FilteredComplex._build([basepoint_id], [0], [NEG_INF], [()], basepoint_id)
 
 
 def sphere(k: int, level) -> FilteredComplex:
     """Basepoint plus a single k-cell appearing at `level` (boundary zero)."""
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise TypeError(f"sphere dimension must be an int, got {k!r}")
     if k < 0:
         raise ValueError(f"sphere dimension must be nonnegative, got {k}")
-    return FilteredComplex(
-        [Cell("pt", 0, NEG_INF), Cell("c1", k, _as_weight(level))], "pt"
-    )
+    return FilteredComplex._build(["pt", "c1"], [0, k], [NEG_INF, _as_weight(level)], [(), ()], "pt")
 
 
 # -- binary constructions -----------------------------------------------------

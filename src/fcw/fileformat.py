@@ -13,7 +13,7 @@ import json
 from json.encoder import encode_basestring_ascii
 
 from .complexes import FilteredComplex
-from .errors import ParseError, ValidationError
+from .errors import ParseError
 from .rationals import POS_INF, parse_extended
 
 FORMAT_TAG = "fcw/1"
@@ -94,11 +94,7 @@ def parse_document(text: str) -> FilteredComplex:
 
 def parse_complex(text: str) -> FilteredComplex:
     """Parse and validate; raises ParseError or ValidationError."""
-    built = parse_document(text)
-    violations = built.validate()
-    if violations:
-        raise ValidationError(violations)
-    return built
+    return parse_document(text).require_valid()
 
 
 # The canonical text, as json.dumps(doc, indent=2, sort_keys=True) lays it out

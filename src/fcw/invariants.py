@@ -73,29 +73,10 @@ class InvariantReport(Record):
 
     __slots__ = ("size_poly", "euler_poly", "cell_count", "weighted_size", "weighted_euler")
 
-    def __init__(
-        self,
-        size_poly: Polynomial,
-        euler_poly: Polynomial,
-        cell_count: Fraction,
-        weighted_size: Fraction,
-        weighted_euler: Fraction,
-    ):
-        setattr_ = object.__setattr__
-        setattr_(self, "size_poly", size_poly)
-        setattr_(self, "euler_poly", euler_poly)
-        setattr_(self, "cell_count", cell_count)
-        setattr_(self, "weighted_size", weighted_size)
-        setattr_(self, "weighted_euler", weighted_euler)
-
 
 def invariant_report(x: FilteredComplex) -> InvariantReport:
     size = size_polynomial(x)
     euler = euler_polynomial(x)
     return InvariantReport(
-        size_poly=size,
-        euler_poly=euler,
-        cell_count=size.at_one(),
-        weighted_size=size.derivative().at_one(),
-        weighted_euler=euler.derivative().at_one(),
+        size, euler, size.at_one(), size.derivative().at_one(), euler.derivative().at_one()
     )

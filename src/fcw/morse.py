@@ -13,9 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._record import Record
-from .complexes import Cell, FilteredComplex
+from .complexes import FilteredComplex
 from .errors import InvalidBoundaries, NegativeWeight, ParseError, UnsupportedCell
-from .invariants import size_polynomial
 from .polynomial import Polynomial
 from .rationals import NEG_INF, as_fraction, parse_rational
 
@@ -26,9 +25,9 @@ class CriticalPoint(Record):
     __slots__ = ("value", "index")
 
     def __init__(self, value: Fraction, index: int):
-        setattr_ = object.__setattr__
-        setattr_(self, "value", as_fraction(value))
-        setattr_(self, "index", index)
+        if not isinstance(index, int) or isinstance(index, bool):
+            raise TypeError(f"Morse index must be an int, got {index!r}")
+        super().__init__(as_fraction(value), index)
         if self.value < 0:
             raise ValueError(f"critical values must be nonnegative, got {self.value}")
         if index < 0:
@@ -46,7 +45,7 @@ class MorseDatum(Record):
             raise ValueError("a Morse datum needs at least one critical point")
         if not any(p.index == 0 for p in pts):
             raise ValueError("a Morse datum needs a critical point of index 0")
-        object.__setattr__(self, "points", pts)
+        super().__init__(pts)
 
     def sorted_points(self) -> tuple[CriticalPoint, ...]:
         return tuple(sorted(self.points, key=lambda p: (p.value, p.index)))
@@ -89,16 +88,19 @@ def morse_complex(datum: MorseDatum, boundaries=None) -> FilteredComplex:
     """
     ordered = datum.sorted_points()
     base_index = next(i for i, p in enumerate(ordered) if p.index == 0)
+    points = ordered[:base_index] + ordered[base_index + 1 :]
+    names = [f"c{k}" for k in range(1, len(points) + 1)]
     attach = _normalise_boundaries(boundaries)
-    cells = [Cell("pt", 0, NEG_INF)]
-    for i, p in enumerate(ordered):
-        if i == base_index:
-            continue
-        name = f"c{len(cells)}"
-        cells.append(Cell(name, p.index, p.value, attach.pop(name, frozenset())))
+    bounds = [attach.pop(name, ()) for name in names]
     if attach:
         raise InvalidBoundaries(f"boundaries given for unknown cells: {sorted(attach)}")
-    built = FilteredComplex(cells, "pt")
+    built = FilteredComplex._build(
+        ["pt", *names],
+        [0, *(p.index for p in points)],
+        [NEG_INF, *(p.value for p in points)],
+        [(), *bounds],
+        "pt",
+    )
     violations = built.validate()
     if violations:
         raise InvalidBoundaries("; ".join(str(v) for v in violations))
@@ -147,7 +149,7 @@ class Linearization(Record):
                 raise NegativeWeight(f"linearization weight {r} < 0")
             normalised.append((k, r))
         normalised.sort(key=lambda e: (e[1], e[0]))
-        object.__setattr__(self, "entries", tuple(normalised))
+        super().__init__(tuple(normalised))
 
     def __len__(self):
         return len(self.entries)
@@ -181,27 +183,12 @@ class LinearizationStats(Record):
 
     __slots__ = ("poly", "count", "weight")
 
-    def __init__(self, poly: Polynomial, count: Fraction, weight: Fraction):
-        setattr_ = object.__setattr__
-        setattr_(self, "poly", poly)
-        setattr_(self, "count", count)
-        setattr_(self, "weight", weight)
-
 
 def linearization_stats(lin: Linearization) -> LinearizationStats:
     poly = Polynomial((r, 1) for _, r in lin.entries)
-    return LinearizationStats(
-        poly=poly,
-        count=poly.at_one(),
-        weight=poly.derivative().at_one(),
-    )
+    return LinearizationStats(poly, poly.at_one(), poly.derivative().at_one())
 
 
 def euler_poly_rel(lin: Linearization) -> Polynomial:
     """Signed attachment polynomial: a k-sphere entry contributes (-1)**(k+1) * t**r."""
     return Polynomial((r, (-1) ** (k + 1)) for k, r in lin.entries)
-
-
-def recovered_size(x: FilteredComplex) -> Fraction:
-    """Total weight of the canonical linearization; equals ev1 of d/dt size poly."""
-    return size_polynomial(x).derivative().at_one()

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import groupby
 from math import lcm
+from operator import attrgetter
 
 from ._kernels import max_bipartite_matching, reduce_pairing
 from ._record import Record
@@ -24,10 +26,7 @@ class Bar(Record):
     __slots__ = ("dim", "birth", "death")
 
     def __init__(self, dim: int, birth, death):
-        setattr_ = object.__setattr__
-        setattr_(self, "dim", dim)
-        setattr_(self, "birth", birth)
-        setattr_(self, "death", death)
+        super().__init__(dim, birth, death)
         if not birth < death:
             raise ValueError(f"bar needs birth < death, got [{birth}, {death})")
 
@@ -284,11 +283,11 @@ def bottleneck(b1: Barcode, b2: Barcode, dim: int | None = None):
     such bar2.  A bar's edges come from a delta-box around it, found by
     bisection over the other side's sorted births.
     """
-    if dim is not None:
-        return _bottleneck_single(b1.restrict(dim).bars, b2.restrict(dim).bars)
+    # a barcode's bars are sorted by degree first, so one pass groups them
+    groups = [{d: list(bars) for d, bars in groupby(bc.bars, attrgetter("dim"))} for bc in (b1, b2)]
     best = Fraction(0)
-    for d in sorted(set(b1.dims()) | set(b2.dims())):
-        value = _bottleneck_single(b1.restrict(d).bars, b2.restrict(d).bars)
+    for d in sorted(groups[0].keys() | groups[1].keys()) if dim is None else [dim]:
+        value = _bottleneck_single(*(group.get(d, []) for group in groups))
         if value is POS_INF:
             return POS_INF
         if value > best:

@@ -7,87 +7,53 @@ arithmetic, so accidental mixing fails loudly.
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 
 
-class _NegInf:
-    __slots__ = ()
+class _Infinity:
+    """-inf (sign -1) or +inf (sign 1): below, or above, every int and Fraction.
 
-    def __lt__(self, other):
-        if other is NEG_INF:
-            return False
-        if other is POS_INF or isinstance(other, (int, Fraction)):
-            return True
-        return NotImplemented
+    Immutable, with one instance per sign; other operands are not ordered
+    against it (TypeError).
+    """
 
-    def __le__(self, other):
-        if other is NEG_INF:
-            return True
-        return self.__lt__(other)
+    __slots__ = ("_sign",)
 
-    def __gt__(self, other):
-        if other is NEG_INF or other is POS_INF or isinstance(other, (int, Fraction)):
-            return False
-        return NotImplemented
+    def __init__(self, sign: int):
+        object.__setattr__(self, "_sign", sign)
 
-    def __ge__(self, other):
-        if other is NEG_INF:
-            return True
-        if other is POS_INF or isinstance(other, (int, Fraction)):
-            return False
-        return NotImplemented
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{self!r} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{self!r} is immutable")
+
+    def _ordered(op):
+        # an extended value orders as its sign does: -1, 0 if finite, or 1
+        def compare(self, other):
+            if isinstance(other, _Infinity):
+                return op(self._sign, other._sign)
+            if isinstance(other, (int, Fraction)):
+                return op(self._sign, 0)
+            return NotImplemented
+
+        return compare
+
+    __lt__, __le__, __gt__, __ge__ = map(_ordered, (operator.lt, operator.le, operator.gt, operator.ge))
+    del _ordered
 
     def __repr__(self):
-        return "-inf"
+        return "-inf" if self._sign < 0 else "inf"
 
     def __reduce__(self):
         # copy and pickle return the singleton, which `is` tests rely on
-        return "NEG_INF"
+        return "NEG_INF" if self._sign < 0 else "POS_INF"
 
 
-class _PosInf:
-    __slots__ = ()
-
-    def __lt__(self, other):
-        if other is POS_INF or other is NEG_INF or isinstance(other, (int, Fraction)):
-            return False
-        return NotImplemented
-
-    def __le__(self, other):
-        if other is POS_INF:
-            return True
-        if other is NEG_INF or isinstance(other, (int, Fraction)):
-            return False
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other is POS_INF:
-            return False
-        if other is NEG_INF or isinstance(other, (int, Fraction)):
-            return True
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other is POS_INF:
-            return True
-        return self.__gt__(other)
-
-    def __repr__(self):
-        return "inf"
-
-    def __reduce__(self):
-        return "POS_INF"
-
-
-NEG_INF = _NegInf()
-POS_INF = _PosInf()
-
-#: A cell weight / polynomial exponent bound: -inf or an exact rational.
-Weight = "Fraction | _NegInf"
-
-#: A barcode endpoint: -inf, an exact rational, or +inf.
-Extended = "Fraction | _NegInf | _PosInf"
+NEG_INF = _Infinity(-1)
+POS_INF = _Infinity(1)
 
 
 def as_fraction(x) -> Fraction:
@@ -136,8 +102,4 @@ def parse_extended(text: str):
 
 def format_extended(v) -> str:
     """Lowest-terms rendering; inverse of parse_extended on its outputs."""
-    if v is NEG_INF:
-        return "-inf"
-    if v is POS_INF:
-        return "inf"
-    return str(v)
+    return str(v)  # an infinity's str is its repr, `-inf` or `inf`

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import operator
 import os
 import pickle
 import subprocess
@@ -103,6 +104,53 @@ def test_copies_keep_the_infinity_singletons():
     bar = Bar(0, NEG_INF, POS_INF)
     for copied in (pickle.loads(pickle.dumps(bar)), copy.deepcopy(bar), copy.copy(bar)):
         assert copied == bar and copied.birth is NEG_INF and copied.death is POS_INF
+
+
+def test_records_take_exactly_their_fields():
+    for cls, _, args in VALUES:
+        if cls in (Violation, InvariantReport, LinearizationStats, CommandResult):
+            with pytest.raises(TypeError, match=cls.__name__):
+                cls(*args[:-1])
+            with pytest.raises(TypeError, match=cls.__name__):
+                cls(*args, None)
+
+
+EXTENDED = [NEG_INF, -5, False, True, 0, F(-1, 3), F(7, 2), 10**30, POS_INF]
+ORDERINGS = (operator.lt, operator.le, operator.gt, operator.ge)
+
+
+def test_infinities_order_against_every_extended_value():
+    # -inf below, +inf above, and every finite value between them
+    place = lambda v: -1 if v is NEG_INF else 1 if v is POS_INF else 0
+    for a in (NEG_INF, POS_INF):
+        for b in EXTENDED:
+            for x, y in ((a, b), (b, a)):
+                for compare in ORDERINGS:
+                    assert compare(x, y) is compare(place(x), place(y)), (compare, x, y)
+            assert (a == b) is (a is b) and (a != b) is (a is not b)
+    assert sorted([POS_INF, F(1, 2), NEG_INF, 3, POS_INF, NEG_INF]) == [NEG_INF, NEG_INF, F(1, 2), 3, POS_INF, POS_INF]
+    assert (repr(NEG_INF), repr(POS_INF), str(NEG_INF), str(POS_INF)) == ("-inf", "inf", "-inf", "inf")
+
+
+@pytest.mark.parametrize("other", [0.5, float("inf"), "1", None, (1,), Polynomial.one()])
+def test_infinities_refuse_other_operands(other):
+    for inf in (NEG_INF, POS_INF):
+        for compare in ORDERINGS:
+            with pytest.raises(TypeError):
+                compare(inf, other)
+            with pytest.raises(TypeError):
+                compare(other, inf)
+
+
+def test_infinities_are_immutable_singletons():
+    for inf in (NEG_INF, POS_INF):
+        with pytest.raises(AttributeError):
+            inf.extra = 1
+        with pytest.raises(AttributeError):
+            inf._sign = -inf._sign
+        with pytest.raises(AttributeError):
+            del inf._sign
+        assert copy.copy(inf) is inf and pickle.loads(pickle.dumps(inf)) is inf
 
 
 def test_record_repr_names_the_fields():

@@ -155,6 +155,16 @@ def test_morse_commands(tmp_path):
     assert payload("barcode", str(built)) == payload("barcode", S2HP)
 
 
+def test_boundaries_for_the_basepoint_are_rejected(tmp_path):
+    datum = tmp_path / "heights.morse"
+    datum.write_text("0\t0\n1\t2\n")
+    attach = tmp_path / "attach.json"
+    attach.write_text('{"pt": ["c1"]}')
+    result = run(["morse-build", str(datum), "--boundaries", str(attach)])
+    assert (result.exit_code, result.payload) == (1, "")
+    assert result.error == "InvalidBoundaries: boundaries given for unknown cells: ['pt']"
+
+
 @pytest.mark.parametrize("chain", ['5', '{"c1": "x"}', '"c1"'])
 def test_malformed_boundary_chain_is_a_parse_error(tmp_path, chain):
     datum = tmp_path / "heights.morse"
@@ -232,8 +242,10 @@ def test_exponent_notation_is_a_parse_error(tmp_path):
     assert run(["morse-build", str(datum)]).exit_code == 2
 
 
-def test_cli_import_loads_no_numeric_dependencies():
+def test_cli_import_loads_no_numeric_dependencies(tmp_path):
     """A fresh `fcw` process loads only the layers its subcommand runs."""
+    datum = tmp_path / "heights.morse"
+    datum.write_text("0\t0\n1\t2\n")
     src = str(Path(__file__).parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     never = ["numpy", "numba", "dataclasses", "inspect"]
@@ -241,7 +253,8 @@ def test_cli_import_loads_no_numeric_dependencies():
         (None, never + ["fcw.morse", "fcw.persistence", "fcw._kernels", "fcw.invariants", "fcw.polynomial"]),
         (["euler", TORUS], never + ["fcw.persistence", "fcw.morse"]),
         (["barcode", TORUS], never + ["fcw.morse", "fcw.invariants"]),
-        (["linearize", TORUS], never),
+        (["linearize", TORUS], never + ["fcw.invariants", "fcw.persistence"]),
+        (["morse-build", str(datum)], never + ["fcw.invariants", "fcw.persistence"]),
     ):
         code = "import sys, fcw.cli\n"
         if argv is not None:

@@ -86,6 +86,9 @@ def test_missing_boundary_reference_detected():
     )
     kinds = [v.kind for v in x.validate()]
     assert "MissingBoundaryCell" in kinds
+    # the views built from a complex keep an id that names no cell
+    for view, cell_id in ((x.sublevel(1), "e"), (x.suspend(), "e"), (x.rename({"e": "f"}), "f")):
+        assert [str(v) for v in view.validate()] == [f"MissingBoundaryCell[{cell_id}]: references unknown cell ghost"]
 
 
 def test_boundary_square_violation_detected():
@@ -284,6 +287,10 @@ def test_cell_dimension_must_be_an_integer():
         Cell("c", 1.5, F(1))
     with pytest.raises(TypeError):
         Cell("c", True, F(1))
+    with pytest.raises(TypeError):
+        sphere(1.5, 1)
+    with pytest.raises(TypeError):
+        sphere(True, 1)
 
 
 def test_filtered_product_contains_eternal_wedge_copy():

@@ -10,6 +10,7 @@ from helpers import random_linearizable_complex, torus, two_sphere_two_peaks
 
 from fcw import (
     Cell,
+    CriticalPoint,
     FilteredComplex,
     InvalidBoundaries,
     Linearization,
@@ -84,6 +85,14 @@ def test_invalid_boundaries_rejected():
         morse_complex(datum((0, 0), (1, 2)), boundaries={"c1": ["ghost"]})
     with pytest.raises(InvalidBoundaries):
         morse_complex(datum((0, 0), (1, 2)), boundaries={"nope": ["c1"]})
+
+
+def test_morse_index_must_be_an_integer():
+    for index in (1.5, 2.0, True, F(1)):
+        with pytest.raises(TypeError):
+            CriticalPoint(F(1), index)
+        with pytest.raises(TypeError):
+            MorseDatum([(F(0), 0), (F(1), index)])
 
 
 def test_parse_morse_datum():
