@@ -130,11 +130,11 @@ def _cmd_barcode(ns) -> str:
 
 
 def _cmd_euler_curve(ns) -> str:
-    from . import persistence
+    from . import invariants
 
     x = _load(ns.file)
     levels = [NEG_INF, *x.spectrum()]
-    values = persistence.euler_curve(persistence.barcode(x), levels)
+    values = invariants.euler_curve(x)
     return "r\teuler\n" + "".join(
         f"{format_extended(r)}\t{value}\n" for r, value in zip(levels, values)
     )

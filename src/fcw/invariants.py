@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 
 from ._record import Record
 from .complexes import FilteredComplex
@@ -16,29 +17,48 @@ from .polynomial import Polynomial
 from .rationals import NEG_INF
 
 
-def _weight_polynomial(x: FilteredComplex, signed: bool) -> Polynomial:
+def _cell_counts(x: FilteredComplex) -> Counter:
+    """The number of cells, basepoint included, of each (weight rank, dim);
+    rank -1 stands for -inf."""
+    return Counter(zip(x._ranked(), x._dims))
+
+
+def _weight_polynomial(x: FilteredComplex, counts: Counter, signed: bool) -> Polynomial:
     """Sum of t**weight, times (-1)**dim if `signed`, over non-basepoint cells,
-    from the number of cells of each weight rank and dimension."""
-    rank = x._ranked()
-    counts = Counter(zip(rank, x._dims))
+    from `counts`, the table of _cell_counts(x)."""
     bp = x._index.get(x.basepoint)
     if bp is not None:
-        counts[rank[bp], x._dims[bp]] -= 1
+        counts = counts.copy()
+        counts[x._ranked()[bp], x._dims[bp]] -= 1
     level = [*x.spectrum(), NEG_INF]  # level[-1] is -inf
-    return Polynomial((level[r], (-1) ** d * k if signed else k) for (r, d), k in counts.items() if k)
+    return Polynomial((level[r], (-1) ** d * k if signed else k) for (r, d), k in counts.items())
 
 
 def size_polynomial(x: FilteredComplex) -> Polynomial:
     """Sum of t**weight over non-basepoint cells."""
-    return _weight_polynomial(x, signed=False)
+    return _weight_polynomial(x, _cell_counts(x), signed=False)
 
 
 def euler_polynomial(x: FilteredComplex, upto=None) -> Polynomial:
     """Signed sum of t**weight over non-basepoint cells with weight <= upto."""
-    total = _weight_polynomial(x, signed=True)
+    total = _weight_polynomial(x, _cell_counts(x), signed=True)
     if upto is not None:
         total = total.truncate(upto)
     return total
+
+
+def euler_curve(x: FilteredComplex) -> list[int]:
+    """Euler characteristic of the sublevel at -inf and at each point of the
+    spectrum, in increasing order.
+
+    Over GF(2) as over any field it is the alternating count of the cells
+    of weight <= r (Euler-Poincare), so the curve is the running sum of the
+    signed cell counts per weight rank.
+    """
+    step = [0] * (len(x.spectrum()) + 1)  # step[r + 1]: signed count of rank r
+    for (r, d), k in _cell_counts(x).items():
+        step[r + 1] += (-1) ** d * k
+    return list(accumulate(step))
 
 
 def weighted_euler_char(x: FilteredComplex, upto=None) -> Fraction:
@@ -75,8 +95,9 @@ class InvariantReport(Record):
 
 
 def invariant_report(x: FilteredComplex) -> InvariantReport:
-    size = size_polynomial(x)
-    euler = euler_polynomial(x)
+    counts = _cell_counts(x)
+    size = _weight_polynomial(x, counts, signed=False)
+    euler = _weight_polynomial(x, counts, signed=True)
     return InvariantReport(
         size, euler, size.at_one(), size.derivative().at_one(), euler.derivative().at_one()
     )

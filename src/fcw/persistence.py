@@ -31,17 +31,13 @@ class Bar(Record):
             raise ValueError(f"bar needs birth < death, got [{birth}, {death})")
 
 
-def _bar_key(bar: Bar):
-    return (bar.dim, bar.birth, bar.death)
-
-
 class Barcode:
     """A finite multiset of bars; equality respects multiplicity."""
 
     __slots__ = ("_bars",)
 
     def __init__(self, bars=()):
-        self._bars = tuple(sorted(bars, key=_bar_key))
+        self._bars = tuple(sorted(bars, key=Bar._key))
 
     @property
     def bars(self) -> tuple[Bar, ...]:
@@ -132,31 +128,6 @@ def barcode(x: FilteredComplex) -> Barcode:
 def euler_from_barcode(bc: Barcode, level) -> int:
     """Alternating count of bars alive at `level` (birth <= level < death)."""
     return sum((-1) ** b.dim for b in bc.bars if b.birth <= level and level < b.death)
-
-
-def euler_curve(bc: Barcode, levels) -> list[int]:
-    """euler_from_barcode(bc, r) for each r of the increasing `levels`, in one sweep.
-
-    Starts from the bars born at -inf and adds each finite birth's sign and
-    subtracts each finite death's as the sweep passes it.
-    """
-    value = sum((-1) ** b.dim for b in bc.bars if b.birth is NEG_INF)
-    events = []
-    for b in bc.bars:
-        sign = (-1) ** b.dim
-        if b.birth is not NEG_INF:
-            events.append((b.birth, sign))
-        if b.death is not POS_INF:
-            events.append((b.death, -sign))
-    events.sort(key=lambda e: e[0])
-    out = []
-    k = 0
-    for level in levels:
-        while k < len(events) and events[k][0] <= level:
-            value += events[k][1]
-            k += 1
-        out.append(value)
-    return out
 
 
 # -- bottleneck distance ------------------------------------------------------

@@ -55,12 +55,7 @@ class Polynomial:
     @classmethod
     def monomial(cls, coeff, exp) -> Polynomial:
         """coeff * t**exp; the zero polynomial when coeff == 0 or exp is -inf."""
-        if exp is NEG_INF:
-            return cls.zero()
-        coeff = as_fraction(coeff)
-        if coeff == 0:
-            return cls.zero()
-        return cls._raw({as_fraction(exp): coeff})
+        return cls([(exp, coeff)])
 
     def terms(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """(exponent, coefficient) pairs sorted by increasing exponent."""
@@ -86,14 +81,7 @@ class Polynomial:
     def __add__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            s = out.get(e, _ZERO) + c
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return Polynomial._raw(out)
+        return Polynomial([*self._terms.items(), *other._terms.items()])
 
     def __neg__(self):
         return Polynomial._raw({e: -c for e, c in self._terms.items()})
@@ -108,16 +96,9 @@ class Polynomial:
             return self.scale(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        out: dict[Fraction, Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                s = out.get(e, _ZERO) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return Polynomial._raw(out)
+        return Polynomial(
+            (e1 + e2, c1 * c2) for e1, c1 in self._terms.items() for e2, c2 in other._terms.items()
+        )
 
     __rmul__ = __mul__
 

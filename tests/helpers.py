@@ -5,8 +5,9 @@ ranks come from plain Gaussian elimination, bottleneck values from
 permutation enumeration or, for mid-size barcodes, from perfect matchings
 of the diagonal-augmented graph in Fraction arithmetic (through the
 library's Hopcroft-Karp, itself checked against Kuhn's algorithm).
-`reference_barcode` orders cells by their Fraction weights, where the
-library orders them by integer ranks.
+`reference_barcode` orders cells by their Fraction weights and reduces
+columns held as sets of rows, where the library orders cells by integer
+ranks and reduces int bitsets.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from fcw import Bar, Barcode, Cell, FilteredComplex, NEG_INF, POS_INF, format_extended
-from fcw._kernels import max_bipartite_matching, reduce_pairing
+from fcw._kernels import max_bipartite_matching
 
 WEIGHT_POOL = [
     Fraction(-1),
@@ -189,11 +190,22 @@ def reference_serialize(x: FilteredComplex) -> str:
 
 def reference_barcode(x: FilteredComplex) -> Barcode:
     """The sublevel barcode with cells sorted by (weight, dim, id) in Fraction
-    comparisons and zero-length pairs dropped by Fraction `birth < death`;
-    the reduction is the library's reduce_pairing."""
+    comparisons and zero-length pairs dropped by Fraction `birth < death`.
+    The reduction is the textbook one: add earlier reduced columns, each a
+    set of rows, until the lowest row is unclaimed or the column is empty;
+    pair[j] is the row column j kills, or -1."""
     order = sorted(x.cells, key=lambda c: (c.weight, c.dim, c.id))
     index = {c.id: i for i, c in enumerate(order)}
-    pair = reduce_pairing([[index[b] for b in c.boundary] for c in order])
+    claimed = {}  # lowest row -> the reduced column that claimed it
+    pair = []
+    for c in order:
+        column = {index[b] for b in c.boundary}
+        while column and max(column) in claimed:
+            column ^= claimed[max(column)]
+        low = max(column, default=-1)
+        if column:
+            claimed[low] = column
+        pair.append(low)
     killed = {i for i in pair if i >= 0}
     bars = []
     for j, i in enumerate(pair):

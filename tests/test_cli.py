@@ -253,6 +253,7 @@ def test_cli_import_loads_no_numeric_dependencies(tmp_path):
         (None, never + ["fcw.morse", "fcw.persistence", "fcw._kernels", "fcw.invariants", "fcw.polynomial"]),
         (["euler", TORUS], never + ["fcw.persistence", "fcw.morse"]),
         (["barcode", TORUS], never + ["fcw.morse", "fcw.invariants"]),
+        (["euler-curve", TORUS], never + ["fcw.persistence", "fcw._kernels", "fcw.morse"]),
         (["linearize", TORUS], never + ["fcw.invariants", "fcw.persistence"]),
         (["morse-build", str(datum)], never + ["fcw.invariants", "fcw.persistence"]),
     ):

@@ -15,6 +15,8 @@ from fcw import (
     FilteredComplex,
     NEG_INF,
     Polynomial,
+    barcode,
+    euler_from_barcode,
     euler_polynomial,
     invariant_report,
     k_class,
@@ -26,6 +28,7 @@ from fcw import (
     wedge,
     weighted_euler_char,
 )
+from fcw.invariants import euler_curve
 
 F = Fraction
 
@@ -207,6 +210,30 @@ def test_invariant_report_consistency():
     for _ in range(20):
         x = random_complex(rng)
         report = invariant_report(x)
+        assert report.size_poly == size_polynomial(x)
+        assert report.euler_poly == euler_polynomial(x)
         assert report.cell_count == report.size_poly.at_one()
         assert report.weighted_size == report.size_poly.derivative().at_one()
         assert report.weighted_euler == report.euler_poly.derivative().at_one()
+
+
+def test_euler_curve_examples():
+    assert euler_curve(two_sphere_two_peaks()) == [1, 0, 2]
+    assert euler_curve(torus(1, 2, 4)) == [1, 0, -1, 0]
+    assert euler_curve(point()) == [1]
+    eternal = FilteredComplex([Cell("pt", 0, NEG_INF), Cell("e", 1, NEG_INF), Cell("v", 0, F(3))], "pt")
+    assert euler_curve(eternal) == [0, 1]
+
+
+def test_euler_curve_equals_cellular_and_barcode_euler():
+    rng = random.Random(109)
+    eternal_seen = 0
+    for k in range(80):
+        x = random_complex(rng, max_cells=20, eternal_prob=0.3 if k % 2 else 0.15)
+        eternal_seen += sum(r == -1 for r in x.ranks().values()) > 1
+        bc = barcode(x)
+        levels = [NEG_INF, *x.spectrum()]
+        curve = euler_curve(x)
+        assert curve == [x.euler_char_sublevel(r) for r in levels]
+        assert curve == [euler_from_barcode(bc, r) for r in levels]
+    assert eternal_seen >= 20  # eternal cells besides the basepoint

@@ -27,7 +27,6 @@ from fcw import (
     euler_from_barcode,
     sphere,
 )
-from fcw.persistence import euler_curve
 
 F = Fraction
 
@@ -140,19 +139,6 @@ def test_euler_from_barcode_equals_cellular_euler():
         bc = barcode(x)
         for level in [NEG_INF] + x.spectrum():
             assert euler_from_barcode(bc, level) == x.euler_char_sublevel(level)
-
-
-def test_euler_curve_sweep_equals_euler_from_barcode():
-    rng = random.Random(109)
-    for _ in range(60):
-        x = random_complex(rng, max_cells=20)
-        bc = barcode(x)
-        levels = [NEG_INF] + x.spectrum()
-        assert euler_curve(bc, levels) == [euler_from_barcode(bc, r) for r in levels]
-    # levels between and beyond the endpoints, and bars from no complex
-    bc = Barcode([Bar(0, NEG_INF, 1), Bar(1, F(1, 2), 2), Bar(2, 1, POS_INF), Bar(1, 2, 3)])
-    levels = [NEG_INF, F(-1), F(1, 2), F(3, 4), F(1), F(5, 2), F(3), F(10)]
-    assert euler_curve(bc, levels) == [euler_from_barcode(bc, r) for r in levels]
 
 
 def test_reduction_is_independent_of_cell_names():
