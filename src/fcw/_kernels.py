@@ -10,35 +10,41 @@ from __future__ import annotations
 USING_NUMBA = False
 
 
-# -- mod-2 column reduction ---------------------------------------------------
-#
-# Each column is a Python int used as a bitset over rows: bit_length() - 1 is
-# its lowest (largest-index) row and ^ adds two columns over GF(2).  The
-# classic persistence pairing sweeps columns left to right, adding the
-# reduced column that already owns the same low row until the low is new (the
-# column claims it) or the column cancels to zero (it creates a class).
+# -- mod-2 column reduction with clearing (Chen-Kerber 2011) ------------------
 
 
-def reduce_pairing(columns) -> list[int]:
-    """pair[j] = row killed by column j, or -1 when column j creates a class.
+def reduce_pairing(columns, dims) -> list[int]:
+    """partner[j] = the cell paired with cell j, or -1 when j's class never dies.
 
-    `columns` lists, per cell in filtration order, the row indices of its
-    boundary; every index must be smaller than the column's own index.
+    `columns` lists, per cell in filtration order, its boundary's rows and
+    `dims` the cells' dimensions.  They must form a chain complex: every row
+    an earlier cell one dimension down, and the boundary of a boundary zero.
+    Dimensions go from the top down.  A column adds the reduced column that
+    owns its low (largest) row, as a set over GF(2), until its low is new
+    (it is kept, as a tuple if it changed) or it is zero.  A cell already
+    paired as a low row is skipped, as its column would reduce to zero.
     """
-    owner: dict[int, int] = {}
-    pair = []
-    for rows in columns:
-        column = 0
-        for i in rows:
-            column |= 1 << i
-        low = column.bit_length() - 1
-        while low in owner:
-            column ^= owner[low]
-            low = column.bit_length() - 1
-        if low >= 0:
-            owner[low] = column
-        pair.append(low)
-    return pair
+    partner = [-1] * len(columns)
+    by_dim: dict[int, list[int]] = {}
+    for j, d in enumerate(dims):
+        by_dim.setdefault(d, []).append(j)
+    for d in sorted(by_dim, reverse=True):
+        owner = {}  # low row -> the reduced column that claimed it
+        for j in by_dim[d]:
+            column = columns[j]
+            if partner[j] >= 0 or not column:
+                continue
+            low = max(column)
+            if low in owner:
+                column = set(column)
+                while low in owner:
+                    column.symmetric_difference_update(owner[low])
+                    low = max(column) if column else -1
+                column = tuple(column)
+            if low >= 0:
+                owner[low] = column
+                partner[low], partner[j] = j, low
+    return partner
 
 
 # -- maximum bipartite matching (Hopcroft-Karp) -------------------------------

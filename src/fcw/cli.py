@@ -143,6 +143,8 @@ def _cmd_euler_curve(ns) -> str:
 def _cmd_bottleneck(ns) -> str:
     from . import persistence
 
+    if ns.dim is not None and ns.dim < 0:
+        raise ParseError(f"--dim must be nonnegative, got {ns.dim}")
     left = persistence.barcode(_load(ns.left))
     right = persistence.barcode(_load(ns.right))
     return _scalar(format_extended(persistence.bottleneck(left, right, ns.dim)))

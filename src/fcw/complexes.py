@@ -57,14 +57,14 @@ class FilteredComplex:
     ``_ids``, ``_dims``, ``_weights`` and ``_bounds``, each boundary the
     sorted tuple of its cells' positions in that order.  A boundary id that
     names no cell gets position ``len(self) + k``, ``k`` indexing the sorted
-    ``_unknown`` ids, so validate() can still name it.  Weight ranks and the
-    spectrum are computed on first use, and ``Cell`` records only when
+    ``_unknown`` ids, so validate() can still name it.  Ranks, the spectrum
+    and validity are computed on first use, and ``Cell`` records only when
     ``cells`` or ``cell()`` asks.  The other modules of fcw read the tuples.
     """
 
     __slots__ = (
         "_basepoint", "_ids", "_dims", "_weights", "_bounds", "_unknown",
-        "_index", "_rank", "_spectrum", "_cells",
+        "_index", "_rank", "_spectrum", "_valid", "_cells",
     )
 
     def __init__(self, cells: Iterable[Cell], basepoint: str):
@@ -104,7 +104,7 @@ class FilteredComplex:
             index = {**index, **dict(zip(self._unknown, range(n, n + len(self._unknown))))}
             self._bounds = tuple([tuple(sorted(map(index.__getitem__, refs))) for refs in boundaries])
         self._basepoint = basepoint
-        self._rank = self._spectrum = self._cells = None
+        self._rank = self._spectrum = self._valid = self._cells = None
 
     def _reweighted(self, weights) -> FilteredComplex:
         """The same cells with new weights."""
@@ -112,7 +112,7 @@ class FilteredComplex:
         for name in self.__slots__:
             setattr(x, name, getattr(self, name))
         x._weights = tuple(weights)
-        x._rank = x._spectrum = x._cells = None
+        x._rank = x._spectrum = x._valid = x._cells = None
         return x
 
     @property
@@ -218,9 +218,12 @@ class FilteredComplex:
         return out + square
 
     def require_valid(self) -> FilteredComplex:
-        violations = self.validate()
-        if violations:
-            raise ValidationError(violations)
+        """Self, or ValidationError with validate()'s list; success is remembered."""
+        if self._valid is None:
+            violations = self.validate()
+            if violations:
+                raise ValidationError(violations)
+            self._valid = True
         return self
 
     # -- filtration views ---------------------------------------------------

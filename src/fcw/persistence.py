@@ -16,7 +16,6 @@ from operator import attrgetter
 from ._kernels import max_bipartite_matching, reduce_pairing
 from ._record import Record
 from .complexes import FilteredComplex
-from .errors import ValidationError
 from .rationals import NEG_INF, POS_INF, format_extended, is_finite
 
 
@@ -81,44 +80,32 @@ def barcode(x: FilteredComplex) -> Barcode:
 
     Cells are ordered by (weight, dim, id) -- boundary-compatible because a
     boundary cell has strictly smaller dimension and no larger weight --
-    and the standard column reduction pairs creators with destroyers.
-    Pairs with equal weights are dropped.  A complex whose boundaries break
-    that order (an unknown cell, a wrong dimension or a heavier boundary
-    cell) raises ValidationError instead of yielding a wrong barcode.
+    and the column reduction with clearing pairs creators with destroyers.
+    Pairs with equal weights are dropped.  Raises ValidationError with every
+    violation validate() reports instead of yielding a wrong barcode.
     Weights are compared by their integer ranks (FilteredComplex.ranks), and
     the columns are the complex's boundary positions, renumbered.
     """
-    if x._unknown:
-        raise ValidationError(x.validate())
+    x.require_valid()
     rank = x._ranked()
     # positions are in (dim, id) order and sorted() is stable: (rank, dim, id)
     order = sorted(range(len(rank)), key=rank.__getitem__)
     at = [0] * len(order)  # position -> index in the filtration order
     for j, i in enumerate(order):
         at[i] = j
-    bounds = x._bounds
-    columns = []
-    for j, i in enumerate(order):
-        rows = [at[r] for r in bounds[i]]
-        if rows and max(rows) >= j:
-            raise ValidationError(x.validate())
-        columns.append(rows)
-    pair = reduce_pairing(columns)
+    columns = [[at[r] for r in bound] for bound in map(x._bounds.__getitem__, order)]
     ranks = list(map(rank.__getitem__, order))
     dims = [x._dims[i] for i in order]
+    partner = reduce_pairing(columns, dims)
     # level[r] is the weight of rank r: spectrum, then +inf, and -inf at -1
     level = [*x.spectrum(), POS_INF, NEG_INF]
     never = len(level) - 2
-    killed = set()
     bars = []
-    for j, i in enumerate(pair):
-        if i >= 0:
-            killed.add(i)
-            if ranks[i] < ranks[j]:
-                bars.append((dims[i], ranks[i], ranks[j]))
-    for i, dim in enumerate(dims):
-        if pair[i] < 0 and i not in killed:
-            bars.append((dim, ranks[i], never))
+    for j, i in enumerate(partner):
+        if i < 0:
+            bars.append((dims[j], ranks[j], never))
+        elif i < j and ranks[i] < ranks[j]:
+            bars.append((dims[i], ranks[i], ranks[j]))
     # (dim, birth rank, death rank) orders bars as Barcode's (dim, birth,
     # death) key does, so Barcode's own sort finds them already in order
     bars.sort()
@@ -254,6 +241,8 @@ def bottleneck(b1: Barcode, b2: Barcode, dim: int | None = None):
     such bar2.  A bar's edges come from a delta-box around it, found by
     bisection over the other side's sorted births.
     """
+    if dim is not None and dim < 0:
+        raise ValueError(f"degree must be nonnegative, got {dim}")
     # a barcode's bars are sorted by degree first, so one pass groups them
     groups = [{d: list(bars) for d, bars in groupby(bc.bars, attrgetter("dim"))} for bc in (b1, b2)]
     best = Fraction(0)

@@ -6,8 +6,9 @@ permutation enumeration or, for mid-size barcodes, from perfect matchings
 of the diagonal-augmented graph in Fraction arithmetic (through the
 library's Hopcroft-Karp, itself checked against Kuhn's algorithm).
 `reference_barcode` orders cells by their Fraction weights and reduces
-columns held as sets of rows, where the library orders cells by integer
-ranks and reduces int bitsets.
+every column left to right, where the library orders cells by integer
+ranks and reduces dimension by dimension with clearing.  `kunneth_barcode`
+predicts the barcode of a filtered smash from its factors' barcodes alone.
 """
 
 from __future__ import annotations
@@ -97,11 +98,13 @@ def random_complex(
     dims=(0, 1, 1, 2, 2, 3),
     weights=WEIGHT_POOL,
     eternal_prob: float = 0.15,
+    min_cells: int = 1,
 ) -> FilteredComplex:
-    """A random valid complex: each boundary is a random cycle at or below its weight."""
+    """A random valid complex: each boundary is a random cycle at or below its
+    weight.  Besides the basepoint it has min_cells to max_cells cells."""
     cells = {"pt": Cell("pt", 0, NEG_INF)}
     order = ["pt"]
-    for i in range(rng.randint(1, max_cells)):
+    for i in range(rng.randint(min_cells, max_cells)):
         dim = rng.choice(dims)
         weight = NEG_INF if rng.random() < eternal_prob else rng.choice(weights)
         if dim == 0:
@@ -214,6 +217,44 @@ def reference_barcode(x: FilteredComplex) -> Barcode:
     for i, c in enumerate(order):
         if pair[i] < 0 and i not in killed:
             bars.append(Bar(c.dim, c.weight, POS_INF))
+    return Barcode(bars)
+
+
+def reduced_barcode(x: FilteredComplex, barcode=reference_barcode) -> Barcode:
+    """The barcode of x with its basepoint deleted from every boundary, less
+    the basepoint's own [-inf, inf) bar: the barcode of chains relative to
+    the basepoint."""
+    bp = x.basepoint
+    relative = FilteredComplex([Cell(c.id, c.dim, c.weight, c.boundary - {bp}) for c in x.cells], bp)
+    bars = list(barcode(relative).bars)
+    bars.remove(Bar(0, NEG_INF, POS_INF))
+    return Barcode(bars)
+
+
+def _plus(u, v):
+    return POS_INF if u is POS_INF or v is POS_INF else u + v
+
+
+def kunneth_barcode(x: FilteredComplex, y: FilteredComplex) -> Barcode:
+    """The reduced barcode of smash(x, y, filtered=True) by the Kunneth formula
+    for persistence modules (Bubenik-Milicevic 2021, Gakhar-Perea 2019):
+    bars [a, b) in degree p of x and [c, d) in degree q of y, from the two
+    reduced barcodes, give [a + c, min(a + d, b + c)) in degree p + q and,
+    when b and d are finite, the Tor bar [max(a + d, b + c), b + d) in
+    degree p + q + 1.  An eternal cell besides a basepoint would give a
+    -inf birth, where -inf + d = -inf collapses bars, so it raises
+    ValueError."""
+    for factor in (x, y):
+        eternal = [c.id for c in factor.cells if c.weight is NEG_INF and c.id != factor.basepoint]
+        if eternal:
+            raise ValueError(f"the Kunneth oracle needs no eternal cell but the basepoint, got {eternal}")
+    bars, right = [], reduced_barcode(y).bars
+    for u in reduced_barcode(x).bars:
+        for v in right:
+            a, b, c, d = u.birth, u.death, v.birth, v.death
+            bars.append(Bar(u.dim + v.dim, a + c, min(_plus(a, d), _plus(b, c))))
+            if b is not POS_INF and d is not POS_INF:
+                bars.append(Bar(u.dim + v.dim + 1, max(a + d, b + c), b + d))
     return Barcode(bars)
 
 

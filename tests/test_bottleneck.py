@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
 from helpers import brute_bottleneck, random_barcode, reference_bottleneck, two_sphere_two_peaks
 
 from fcw import (
@@ -66,6 +67,11 @@ def test_dim_restriction():
     assert bottleneck(left, right, dim=1) == F(1, 2)
     assert bottleneck(left, right) == F(1, 2)
     assert bottleneck(left, right, dim=7) == 0
+
+
+def test_negative_degree_is_rejected():
+    with pytest.raises(ValueError):
+        bottleneck(Barcode(), Barcode(), dim=-1)
 
 
 def test_matches_brute_force_on_small_barcodes():

@@ -74,6 +74,12 @@ def test_bottleneck_command():
     assert payload("bottleneck", S2H, S2HP, "--dim", "0") == "0\n"
 
 
+def test_bottleneck_rejects_a_negative_degree():
+    result = run(["bottleneck", S2H, S2HP, "--dim", "-1"])
+    assert (result.exit_code, result.payload) == (2, "")
+    assert result.error == "ParseError: --dim must be nonnegative, got -1"
+
+
 def test_info_command():
     assert payload("info", TORUS) == (
         "cells: 4\n"

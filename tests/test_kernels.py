@@ -3,19 +3,20 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
-from helpers import _gf2_rank
+from helpers import _gf2_rank, grid_document, random_complex
 
+from fcw import parse_complex
 from fcw._kernels import max_bipartite_matching, reduce_pairing
 
 
-def random_columns(rng: random.Random, n: int, density: float = 0.3):
-    """Strictly lower-triangular random columns (enough for the reduction)."""
-    columns = []
-    for j in range(n):
-        rows = [i for i in range(j) if rng.random() < density]
-        columns.append(rows)
-    return columns
+def filtration_columns(x):
+    """Boundary rows and dimensions of x's cells sorted by (weight, dim, id):
+    the boundary matrix of a chain complex, as barcode() reduces it."""
+    order = sorted(x.cells, key=lambda c: (c.weight, c.dim, c.id))
+    index = {c.id: i for i, c in enumerate(order)}
+    return [[index[b] for b in c.boundary] for c in order], [c.dim for c in order]
 
 
 def lemma_pairing(columns):
@@ -38,18 +39,65 @@ def lemma_pairing(columns):
 
 
 def test_reduce_pairing_on_known_pairing():
-    # two 2-cells sharing one edge: second column cancels to zero
-    assert reduce_pairing([[], [0], [0]]) == [-1, 0, -1]
+    # a loop bounding two 2-cells: the second column cancels to zero
+    assert reduce_pairing([[], [0], [0]], [1, 2, 2]) == [1, 0, -1]
+
+
+class Unread(list):
+    """A column the reduction must not read."""
+
+    def __iter__(self):
+        raise AssertionError("a cleared column was read")
+
+
+def test_clearing_skips_a_column_known_to_reduce_to_zero():
+    # a filled triangle: vertices a, b, c, edges ab, bc, ca, face f.  The face
+    # claims ca's row, so ca's column is never read; it would cancel to zero.
+    columns = [[], [], [], [0, 1], [1, 2], Unread([2, 0]), [3, 4, 5]]
+    dims = [0, 0, 0, 1, 1, 1, 2]
+    assert reduce_pairing(columns, dims) == [-1, 3, 4, 1, 2, 6, 5]
+    assert lemma_pairing([[], [], [], [0, 1], [1, 2], [2, 0], [3, 4, 5]]) == [-1, -1, -1, 1, 2, -1, 5]
+
+
+def chain_complexes(rng):
+    """Valid complexes of every size class: random ones, small lower-star
+    grids, and random ones of exactly 63, 64 and 65 cells."""
+    for _ in range(20):
+        yield random_complex(rng)
+    for side in (1, 2, 3, 4):
+        yield parse_complex(grid_document(side, rng))
+    for n in (63, 64, 65):
+        for _ in range(2):
+            yield random_complex(rng, max_cells=n - 1, min_cells=n - 1)
 
 
 def test_reduce_pairing_against_pairing_lemma():
     rng = random.Random(251)
-    for n in (0, 1, 2, 17, 63, 64, 65):
-        for density in (0.05, 0.3):
-            columns = random_columns(rng, n, density)
-            # barcode() passes each column's rows unsorted
-            shuffled = [rng.sample(rows, len(rows)) for rows in columns]
-            assert reduce_pairing(shuffled) == lemma_pairing(columns)
+    for x in chain_complexes(rng):
+        columns, dims = filtration_columns(x)
+        # barcode() passes each column's rows unsorted
+        shuffled = [rng.sample(rows, len(rows)) for rows in columns]
+        partner = reduce_pairing(shuffled, dims)
+        # the lemma names each destroyer's creator; the creator names it back
+        assert [i if i < j else -1 for j, i in enumerate(partner)] == lemma_pairing(columns)
+        assert all(i < 0 or partner[i] == j for j, i in enumerate(partner))
+
+
+def kernel_peak(side: int) -> int:
+    """Traced peak bytes of reduce_pairing on a side x side lower-star grid."""
+    columns, dims = filtration_columns(parse_complex(grid_document(side, random.Random(side))))
+    tracemalloc.start()
+    try:
+        reduce_pairing(columns, dims)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_reduce_pairing_memory_scales_with_the_input():
+    # four times the cells: memory that follows the nonzeros grows about 4x,
+    # while columns stored as long as their low rows grow 13x
+    assert kernel_peak(70) < 8 * kernel_peak(35)
 
 
 def brute_max_matching(n_left, n_right, adjacency):

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 from helpers import (
     bars_alive,
+    grid_document,
     homology_ranks,
+    kunneth_barcode,
     random_complex,
+    reduced_barcode,
     reference_barcode,
     torus,
     two_sphere_two_peaks,
@@ -25,8 +29,12 @@ from fcw import (
     ValidationError,
     barcode,
     euler_from_barcode,
+    parse_complex,
+    parse_document,
+    smash,
     sphere,
 )
+from fcw.cli import run
 
 F = Fraction
 
@@ -204,3 +212,69 @@ def test_barcode_rejects_a_broken_filtration_order(cells, kind):
     with pytest.raises(ValidationError) as info:
         barcode(x)
     assert kind in [v.kind for v in info.value.violations]
+
+
+def _document(*cells):
+    records = [{"id": "pt", "dim": 0, "weight": "-inf", "boundary": {}}]
+    records += [{"id": i, "dim": d, "weight": w, "boundary": {b: 1 for b in bs}} for i, d, w, bs in cells]
+    return json.dumps({"format": "fcw/1", "basepoint": "pt", "cells": records})
+
+
+@pytest.mark.parametrize(
+    "doc, kind",
+    [
+        # a 2-cell bounded by a 0-cell: an unchecked reduction gives the bar [1, 2) in degree 0
+        (_document(("v", 0, "1", ()), ("f", 2, "2", ("v",))), "BoundaryDimensionViolation"),
+        # a face whose boundary has a nonzero boundary: [2, 3) in degree 1 when unchecked
+        (_document(("v", 0, "1", ()), ("e", 1, "2", ("v",)), ("f", 2, "3", ("e",))), "BoundarySquareViolation"),
+    ],
+    ids=["face-on-vertex", "nonzero-square"],
+)
+def test_barcode_rejects_what_validate_rejects(doc, kind):
+    x = parse_document(doc)
+    with pytest.raises(ValidationError) as info:
+        barcode(x)
+    assert info.value.violations == x.validate()
+    assert kind in [v.kind for v in info.value.violations]
+
+
+def test_barcode_validates_a_complex_once(monkeypatch):
+    x = parse_complex(_document(("v", 0, "1", ()), ("e", 1, "2", ("v", "pt"))))
+
+    def again(self):
+        raise AssertionError("validated twice")
+
+    monkeypatch.setattr(FilteredComplex, "validate", again)
+    assert barcode(x) == barcode(x)
+    with pytest.raises(AssertionError):
+        barcode(x.shift(1))  # new weights are validated afresh
+
+
+# -- the Kunneth referee ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("side", [6, 8])
+def test_filtered_grid_smash_obeys_kunneth(tmp_path, side):
+    rng = random.Random(side)
+    paths = [tmp_path / "left.fcw", tmp_path / "right.fcw"]
+    for path in paths:
+        path.write_text(grid_document(side, rng))
+    smashed = run(["smash", "--filtered", *map(str, paths)])
+    assert smashed.exit_code == 0
+    x, y = (parse_complex(path.read_text()) for path in paths)
+    expected = kunneth_barcode(x, y)
+    assert len(expected) > 10 * side
+    assert reduced_barcode(parse_complex(smashed.payload), barcode) == expected
+
+
+def test_filtered_smash_of_random_complexes_obeys_kunneth():
+    rng = random.Random(4243)
+    for _ in range(150):
+        x, y = (random_complex(rng, max_cells=10, eternal_prob=0.0) for _ in range(2))
+        assert reduced_barcode(smash(x, y, filtered=True), barcode) == kunneth_barcode(x, y)
+
+
+def test_kunneth_oracle_refuses_an_eternal_cell_besides_the_basepoint():
+    x = FilteredComplex([Cell("pt", 0, NEG_INF), Cell("e", 1, NEG_INF)], "pt")
+    with pytest.raises(ValueError):
+        kunneth_barcode(x, sphere(1, 0))
