@@ -71,7 +71,7 @@ def _cmd_info(ns) -> str:
     report = invariants.invariant_report(x)
     spectrum = x.spectrum()
     counts = Counter(x._dims)
-    eternal = x._ranked().count(-1)
+    eternal = x._rank.count(-1)
     lines = [
         f"cells: {len(x)}",
         f"eternal-cells: {eternal}",

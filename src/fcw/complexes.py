@@ -9,6 +9,8 @@ mutate their inputs.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -24,6 +26,24 @@ def _as_weight(w):
     if w is NEG_INF:
         return w
     return as_fraction(w)
+
+
+def _rank_weights(weights) -> tuple[tuple[int, ...], tuple]:
+    """Each weight's rank and the levels: the sorted distinct finite weights,
+    then NEG_INF, so levels[rank] is the weight and rank -1 is -inf.  Weights
+    are grouped by (numerator, denominator), ints that hash fast where a
+    Fraction does not, and only the distinct weights are sorted as Fractions."""
+    # A parsed document shares one object per distinct weight string,
+    # so grouping by identity first leaves few weights to key by value.
+    objects = dict(zip(map(id, weights), weights))
+    distinct = {(w.numerator, w.denominator): w for w in objects.values() if w is not NEG_INF}
+    levels = (*sorted(distinct.values()), NEG_INF)
+    index = {(w.numerator, w.denominator): i for i, w in enumerate(levels[:-1])}
+    rank_of = {
+        oid: -1 if w is NEG_INF else index[w.numerator, w.denominator]
+        for oid, w in objects.items()
+    }
+    return tuple(map(rank_of.__getitem__, map(id, weights))), levels
 
 
 class Cell(Record):
@@ -54,17 +74,17 @@ class FilteredComplex:
     """Immutable filtered complex; construction only rejects duplicate ids.
 
     The cells live in parallel tuples in the canonical (dim, id) order:
-    ``_ids``, ``_dims``, ``_weights`` and ``_bounds``, each boundary the
-    sorted tuple of its cells' positions in that order.  A boundary id that
-    names no cell gets position ``len(self) + k``, ``k`` indexing the sorted
-    ``_unknown`` ids, so validate() can still name it.  Ranks, the spectrum
-    and validity are computed on first use, and ``Cell`` records only when
-    ``cells`` or ``cell()`` asks.  The other modules of fcw read the tuples.
+    ``_ids``, ``_dims``, ``_rank`` and ``_bounds``, each boundary the sorted
+    tuple of its cells' positions.  A weight is ``_levels[rank]``: the sorted
+    distinct finite weights, then ``-inf`` for rank -1.  A boundary id naming
+    no cell gets position ``len(self) + k``, ``k`` indexing the sorted
+    ``_unknown`` ids, so validate() can name it.  Validity and ``Cell``
+    records are made on first use.  The other modules of fcw read the tuples.
     """
 
     __slots__ = (
-        "_basepoint", "_ids", "_dims", "_weights", "_bounds", "_unknown",
-        "_index", "_rank", "_spectrum", "_valid", "_cells",
+        "_basepoint", "_ids", "_dims", "_rank", "_levels", "_bounds", "_unknown",
+        "_index", "_valid", "_cells",
     )
 
     def __init__(self, cells: Iterable[Cell], basepoint: str):
@@ -94,7 +114,7 @@ class FilteredComplex:
             twice = next(cell_id for cell_id in ids if cell_id in seen or seen.add(cell_id))
             raise ValidationError([Violation("DuplicateCellId", twice, "cell id appears twice")])
         self._dims = tuple(map(dims.__getitem__, order))
-        self._weights = tuple(map(weights.__getitem__, order))
+        self._rank, self._levels = _rank_weights(list(map(weights.__getitem__, order)))
         boundaries = list(map(boundaries.__getitem__, order))
         self._unknown = ()
         try:
@@ -104,15 +124,15 @@ class FilteredComplex:
             index = {**index, **dict(zip(self._unknown, range(n, n + len(self._unknown))))}
             self._bounds = tuple([tuple(sorted(map(index.__getitem__, refs))) for refs in boundaries])
         self._basepoint = basepoint
-        self._rank = self._spectrum = self._valid = self._cells = None
+        self._valid = self._cells = None
 
-    def _reweighted(self, weights) -> FilteredComplex:
-        """The same cells with new weights."""
+    def _reweighted(self, rank, levels) -> FilteredComplex:
+        """The same cells with new ranks and levels."""
         x = FilteredComplex.__new__(FilteredComplex)
         for name in self.__slots__:
             setattr(x, name, getattr(self, name))
-        x._weights = tuple(weights)
-        x._rank = x._spectrum = x._valid = x._cells = None
+        x._rank, x._levels = rank, levels
+        x._valid = x._cells = None
         return x
 
     @property
@@ -123,10 +143,10 @@ class FilteredComplex:
     def cells(self) -> tuple[Cell, ...]:
         """All cells sorted by (dim, id) -- the canonical enumeration order."""
         if self._cells is None:
-            names = self._ids + self._unknown
+            names, levels = self._ids + self._unknown, self._levels
             self._cells = tuple(
-                Cell(cell_id, dim, weight, map(names.__getitem__, bound))
-                for cell_id, dim, weight, bound in zip(self._ids, self._dims, self._weights, self._bounds)
+                Cell(cell_id, dim, levels[r], map(names.__getitem__, bound))
+                for cell_id, dim, r, bound in zip(self._ids, self._dims, self._rank, self._bounds)
             )
         return self._cells
 
@@ -143,7 +163,7 @@ class FilteredComplex:
         return cell_id in self._index
 
     def _key(self) -> tuple:
-        return self._basepoint, self._ids, self._dims, self._weights, self._bounds, self._unknown
+        return self._basepoint, self._ids, self._dims, self._rank, self._levels, self._bounds, self._unknown
 
     def __eq__(self, other):
         if not isinstance(other, FilteredComplex):
@@ -165,8 +185,8 @@ class FilteredComplex:
         formatted, and boundary ids sorted, only for the faulty cells.
         """
         out: list[Violation] = []
-        ids, dims, weights, bounds = self._ids, self._dims, self._weights, self._bounds
-        n, names, rank = len(ids), ids + self._unknown, self._ranked()
+        ids, dims, rank, levels, bounds = self._ids, self._dims, self._rank, self._levels, self._bounds
+        n, names = len(ids), ids + self._unknown
 
         def flag(kind, cell_id, detail):
             out.append(Violation(kind, cell_id, detail))
@@ -183,8 +203,8 @@ class FilteredComplex:
         else:
             if dims[bp] != 0:
                 flag("BadBasepoint", ids[bp], f"basepoint dim {dims[bp]} != 0")
-            if weights[bp] is not NEG_INF:
-                flag("BadBasepoint", ids[bp], f"basepoint weight {weights[bp]} is finite")
+            if rank[bp] >= 0:
+                flag("BadBasepoint", ids[bp], f"basepoint weight {levels[rank[bp]]} is finite")
             if bounds[bp]:
                 flag("BadBasepoint", ids[bp], "basepoint boundary not empty")
         # the cells of one dimension are one block of the canonical order
@@ -205,7 +225,7 @@ class FilteredComplex:
                         detail = f"boundary cell {ids[r]} has dim {dims[r]}, expected {dim - 1}"
                         flag("BoundaryDimensionViolation", ids[j], detail)
                     if rank[r] > top:
-                        detail = f"boundary cell {ids[r]} has weight {weights[r]} > {weights[j]}"
+                        detail = f"boundary cell {ids[r]} has weight {levels[rank[r]]} > {levels[top]}"
                         flag("WeightMonotonicityViolation", ids[j], detail)
             if resolved:
                 # each cell of the boundaries' boundaries must appear an even number of times
@@ -230,22 +250,21 @@ class FilteredComplex:
 
     def sublevel(self, level) -> FilteredComplex:
         """The subcomplex of cells with weight <= level; weights retained."""
-        level = _as_weight(level)
+        top = bisect_right(self._levels, _as_weight(level), 0, len(self._levels) - 1)  # ranks below weigh <= level
         bp = self._index.get(self._basepoint)
-        kept = [i for i, w in enumerate(self._weights) if w <= level or i == bp]
+        kept = [i for i, r in enumerate(self._rank) if r < top or i == bp]
         names = self._ids + self._unknown
         return FilteredComplex._build(
             [self._ids[i] for i in kept],
             [self._dims[i] for i in kept],
-            [self._weights[i] for i in kept],
+            [self._levels[self._rank[i]] for i in kept],
             [{names[r] for r in self._bounds[i]} for i in kept],  # dropped cells become unknown ids
             self._basepoint,
         )
 
     def spectrum(self) -> list[Fraction]:
         """Sorted distinct finite weights among the cells."""
-        self._ranked()
-        return list(self._spectrum)
+        return list(self._levels[:-1])
 
     def ranks(self) -> Mapping[str, int]:
         """Each cell id's weight as an index into spectrum(); -1 for -inf.
@@ -253,47 +272,27 @@ class FilteredComplex:
         Ranks order exactly as the weights do, so the filtration order and
         the weight checks compare ints.
         """
-        return MappingProxyType(dict(zip(self._ids, self._ranked())))
-
-    def _ranked(self) -> tuple[int, ...]:
-        """The ranks in the canonical order, built once per complex: weights
-        are grouped by (numerator, denominator), a pair of ints that hashes
-        fast where a Fraction does not, and only the distinct weights are
-        sorted as Fractions."""
-        if self._rank is None:
-            weights = self._weights
-            # A parsed document shares one object per distinct weight string,
-            # so grouping by identity first leaves few weights to key by value.
-            objects = dict(zip(map(id, weights), weights))
-            distinct = {(w.numerator, w.denominator): w for w in objects.values() if w is not NEG_INF}
-            self._spectrum = tuple(sorted(distinct.values()))
-            index = {(w.numerator, w.denominator): i for i, w in enumerate(self._spectrum)}
-            rank_of = {
-                oid: -1 if w is NEG_INF else index[w.numerator, w.denominator]
-                for oid, w in objects.items()
-            }
-            self._rank = tuple(map(rank_of.__getitem__, map(id, weights)))
-        return self._rank
+        return MappingProxyType(dict(zip(self._ids, self._rank)))
 
     def euler_char_sublevel(self, level) -> int:
         """Unreduced Euler characteristic of the sublevel complex."""
-        level = _as_weight(level)
-        return sum((-1) ** d for d, w in zip(self._dims, self._weights) if w <= level)
+        top = bisect_right(self._levels, _as_weight(level), 0, len(self._levels) - 1)
+        return sum((-1) ** d for d, r in zip(self._dims, self._rank) if r < top)
 
     # -- reweighting --------------------------------------------------------
 
     def shift(self, amount) -> FilteredComplex:
         """Delay every finite weight by `amount`; eternal cells stay eternal."""
         amount = as_fraction(amount)
-        return self._reweighted(w if w is NEG_INF else w + amount for w in self._weights)
+        return self._reweighted(self._rank, (*(w + amount for w in self._levels[:-1]), NEG_INF))
 
     def cutoff(self, floor) -> FilteredComplex:
         """Raise every non-basepoint weight to at least `floor`."""
         floor = as_fraction(floor)
-        bp = self._index.get(self._basepoint)
-        return self._reweighted(
-            w if i == bp or (w is not NEG_INF and w >= floor) else floor for i, w in enumerate(self._weights)
-        )
+        bp, levels = self._index.get(self._basepoint), self._levels
+        low = bisect_left(levels, floor, 0, len(levels) - 1)  # ranks below low weigh < floor
+        weights = [levels[r] if r >= low or i == bp else floor for i, r in enumerate(self._rank)]
+        return self._reweighted(*_rank_weights(weights))
 
     # -- suspension ---------------------------------------------------------
 
@@ -305,7 +304,7 @@ class FilteredComplex:
         return FilteredComplex._build(
             self._ids,
             [d if i == at else d + 1 for i, d in enumerate(self._dims)],
-            self._weights,
+            list(map(self._levels.__getitem__, self._rank)),
             [{names[r] for r in bound if i == at or names[r] != bp} for i, bound in enumerate(self._bounds)],
             bp,
         )
@@ -318,7 +317,7 @@ class FilteredComplex:
         return FilteredComplex._build(
             names[: len(self)],
             self._dims,
-            self._weights,
+            list(map(self._levels.__getitem__, self._rank)),
             [{names[r] for r in bound} for bound in self._bounds],
             mapping.get(self._basepoint, self._basepoint),
         )
@@ -354,7 +353,7 @@ def wedge(x: FilteredComplex, y: FilteredComplex) -> FilteredComplex:
             if name != bp:
                 ids.append(names[i])
                 dims.append(operand._dims[i])
-                weights.append(operand._weights[i])
+                weights.append(operand._levels[operand._rank[i]])
                 boundaries.append([names[r] for r in operand._bounds[i]])
     return FilteredComplex._build(ids, dims, weights, boundaries, "pt")
 
@@ -404,14 +403,14 @@ def _pair_cells(x, y, skip_x, skip_y, filtered, reserved=()):
     down_x = [[at_x[a] * m for a in x._bounds[i] if a != skip_x] for i in keep_x]
     down_y = [[at_y[b] for b in y._bounds[j] if b != skip_y] for j in keep_y]
     ids = _pair_ids(map(x._ids.__getitem__, keep_x), list(map(y._ids.__getitem__, keep_y)), reserved)
-    rank_x, rank_y = x._ranked(), y._ranked()
+    rank_x, rank_y = x._rank, y._rank
     sums = {}  # (rank in x, rank in y) -> weight: one object per distinct pair of weights
     dims, weights, boundaries = [], [], []
     for p, i in enumerate(keep_x):
         for q, j in enumerate(keep_y):
             key = rank_x[i], rank_y[j]
             if key not in sums:
-                sums[key] = _pair_weight(x._weights[i], y._weights[j], filtered)
+                sums[key] = _pair_weight(x._levels[key[0]], y._levels[key[1]], filtered)
             dims.append(x._dims[i] + y._dims[j])
             weights.append(sums[key])
             refs = {ids[a + q] for a in down_x[p]}

@@ -36,10 +36,10 @@ def parse_weight(text: str):
 
 
 def load_json(text: str, what: str):
-    """json.loads, with malformed and too deeply nested text as ParseError."""
+    """json.loads, with malformed, too deeply nested or overlong-integer text as ParseError."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise ParseError(f"invalid {what}: {exc}") from exc
     except RecursionError as exc:
         raise ParseError(f"invalid {what}: nested too deeply") from exc
@@ -113,9 +113,9 @@ def serialize_complex(x: FilteredComplex) -> str:
     n = len(ids)
     names = ids + x._unknown
     quoted = list(map(encode_basestring_ascii, names))
-    weight_text = [*map(str, x.spectrum()), "-inf"]  # by rank; -1 is -inf
+    weight_text = list(map(str, x._levels))  # by rank; -1 is -inf
     cells = []
-    for j, rank in enumerate(x._ranked()):
+    for j, rank in enumerate(x._rank):
         bound = bounds[j]
         if bound:
             # positions within one dimension are in id order already

@@ -14,13 +14,12 @@ from ._record import Record
 from .complexes import FilteredComplex
 from .errors import EulerMismatch
 from .polynomial import Polynomial
-from .rationals import NEG_INF
 
 
 def _cell_counts(x: FilteredComplex) -> Counter:
     """The number of cells, basepoint included, of each (weight rank, dim);
     rank -1 stands for -inf."""
-    return Counter(zip(x._ranked(), x._dims))
+    return Counter(zip(x._rank, x._dims))
 
 
 def _weight_polynomial(x: FilteredComplex, counts: Counter, signed: bool) -> Polynomial:
@@ -29,9 +28,8 @@ def _weight_polynomial(x: FilteredComplex, counts: Counter, signed: bool) -> Pol
     bp = x._index.get(x.basepoint)
     if bp is not None:
         counts = counts.copy()
-        counts[x._ranked()[bp], x._dims[bp]] -= 1
-    level = [*x.spectrum(), NEG_INF]  # level[-1] is -inf
-    return Polynomial((level[r], (-1) ** d * k if signed else k) for (r, d), k in counts.items())
+        counts[x._rank[bp], x._dims[bp]] -= 1
+    return Polynomial((x._levels[r], (-1) ** d * k if signed else k) for (r, d), k in counts.items())
 
 
 def size_polynomial(x: FilteredComplex) -> Polynomial:
@@ -55,7 +53,7 @@ def euler_curve(x: FilteredComplex) -> list[int]:
     of weight <= r (Euler-Poincare), so the curve is the running sum of the
     signed cell counts per weight rank.
     """
-    step = [0] * (len(x.spectrum()) + 1)  # step[r + 1]: signed count of rank r
+    step = [0] * len(x._levels)  # step[r + 1]: signed count of rank r
     for (r, d), k in _cell_counts(x).items():
         step[r + 1] += (-1) ** d * k
     return list(accumulate(step))

@@ -163,11 +163,11 @@ def canonical_linearization(x: FilteredComplex) -> Linearization:
     rejected, as are negative weights.
     """
     entries = []
-    rank, dims, weights = x._ranked(), x._dims, x._weights
+    rank, dims, levels = x._rank, x._dims, x._levels
     bp = x._index.get(x.basepoint)
     # stable on the (dim, id) order of the positions: (weight, dim, id) order
     for i in sorted(range(len(rank)), key=rank.__getitem__):
-        w = weights[i]
+        w = levels[rank[i]]
         if i == bp or w is NEG_INF:
             continue
         if w < 0:

@@ -87,7 +87,7 @@ def barcode(x: FilteredComplex) -> Barcode:
     the columns are the complex's boundary positions, renumbered.
     """
     x.require_valid()
-    rank = x._ranked()
+    rank = x._rank
     # positions are in (dim, id) order and sorted() is stable: (rank, dim, id)
     order = sorted(range(len(rank)), key=rank.__getitem__)
     at = [0] * len(order)  # position -> index in the filtration order

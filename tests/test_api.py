@@ -8,6 +8,7 @@ import os
 import pickle
 import subprocess
 import sys
+import typing
 from fractions import Fraction
 from pathlib import Path
 
@@ -51,6 +52,24 @@ def test_every_public_name_resolves():
     assert set(fcw.__all__) <= set(namespace)
     assert all(namespace[name] is getattr(fcw, name) for name in fcw.__all__)
     assert set(fcw.__all__) <= set(dir(fcw))
+
+
+def test_public_annotations_resolve():
+    # each public function, and each public method or __init__ of a public class
+    functions = []
+    for name in fcw.__all__:
+        obj = getattr(fcw, name)
+        if isinstance(obj, type):
+            for attr, member in vars(obj).items():
+                if attr == "__init__" or not attr.startswith("_"):
+                    member = getattr(member, "__func__", getattr(member, "fget", member))
+                    if callable(member):
+                        functions.append(member)
+        elif callable(obj):
+            functions.append(obj)
+    assert fcw.FilteredComplex.__init__ in functions and fcw.FilteredComplex.ranks in functions
+    for function in functions:
+        typing.get_type_hints(function)
 
 
 def test_unknown_attribute_raises_attribute_error():

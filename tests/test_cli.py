@@ -297,6 +297,17 @@ def test_deeply_nested_json_is_a_parse_error(tmp_path):
         assert result.error.startswith("ParseError:")
 
 
+def test_overlong_json_integer_in_boundaries_is_a_parse_error(tmp_path):
+    boundaries = tmp_path / "huge.json"
+    # longer than the 4300 digits json.loads will convert to an int
+    boundaries.write_text('{"c1": {"pt": %s}}' % ("9" * 5000))
+    datum = tmp_path / "heights.morse"
+    datum.write_text("0\t0\n1\t1\n")
+    result = run(["morse-build", str(datum), "--boundaries", str(boundaries)])
+    assert result.exit_code == 2
+    assert result.error.startswith("ParseError:")
+
+
 def test_repeated_runs_are_byte_identical():
     for args in (["euler", TORUS], ["barcode", S2HP], ["product", TORUS, S2HP, "--filtered"]):
         assert payload(*args) == payload(*args)

@@ -204,6 +204,38 @@ def test_cutoff_exempts_basepoint():
     assert point().cutoff(5) == point()
 
 
+def _per_cell(x, weight_of, keep=lambda c: True):
+    """x rebuilt from its Cell records, each weight mapped by weight_of."""
+    return FilteredComplex([Cell(c.id, c.dim, weight_of(c), c.boundary) for c in x.cells if keep(c)], x.basepoint)
+
+
+def test_reweighting_and_sublevels_match_their_per_cell_definitions():
+    rng = random.Random(23)
+    eternal_cells = 0
+    for _ in range(40):
+        x = random_complex(rng, eternal_prob=0.3)
+        bp = x.basepoint
+        eternal_cells += sum(c.eternal and c.id != bp for c in x.cells)
+        points = x.spectrum()
+        # below, on, between and above the spectral points
+        floors = [F(-5), *points, *((a + b) / 2 for a, b in zip(points, points[1:])), F(10)]
+        for a in (F(0), F(3, 7), F(-5, 2)):
+            shifted = _per_cell(x, lambda c: c.weight if c.eternal else c.weight + a)
+            got = x.shift(a)
+            assert got == shifted and hash(got) == hash(shifted)
+            assert got.ranks() == x.ranks()
+        for f in floors:
+            raised = _per_cell(x, lambda c: c.weight if c.id == bp or (not c.eternal and c.weight >= f) else f)
+            got = x.cutoff(f)
+            assert got == raised and hash(got) == hash(raised)
+        for level in [NEG_INF, *floors]:
+            below = _per_cell(x, lambda c: c.weight, keep=lambda c: c.weight <= level or c.id == bp)
+            got = x.sublevel(level)
+            assert got == below and hash(got) == hash(below)
+            assert x.euler_char_sublevel(level) == sum((-1) ** c.dim for c in x.cells if c.weight <= level)
+    assert eternal_cells > 0
+
+
 # -- wedge -------------------------------------------------------------------------
 
 

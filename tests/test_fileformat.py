@@ -130,6 +130,7 @@ def test_odd_boundary_coefficients_survive():
 
 def test_malformed_documents_raise_parse_error():
     good = (FIXTURES / "torus.fcw").read_text()
+    huge = "9" * 5000  # longer than the 4300 digits json.loads will convert to an int
     for bad in (
         "not json at all",
         "[1, 2]",
@@ -138,6 +139,8 @@ def test_malformed_documents_raise_parse_error():
         good.replace('"dim": 2', '"dim": "2"'),
         good.replace('"weight": "4"', '"weight": "oops"'),
         good.replace('"weight": "4"', '"weight": 4'),
+        good.replace('"dim": 2', f'"dim": {huge}'),
+        (FIXTURES / "s2hprime.fcw").read_text().replace('"m": 1', f'"m": {huge}', 1),
     ):
         with pytest.raises(ParseError):
             parse_complex(bad)
