@@ -55,20 +55,12 @@ def max_bipartite_matching(n_left: int, n_right: int, adjacency) -> int:
     INF = n_left + 1
     pair_u = [-1] * n_left
     pair_v = [-1] * n_right
-    dist = [0] * n_left
-    cursor = [0] * n_left
-    stack_u = [0] * (n_left + 1)
-    stack_v = [0] * (n_left + 1)
     total = 0
     while True:
         # BFS from the free left vertices layers the graph by alternating paths.
-        queue = []
-        for u in range(n_left):
-            if pair_u[u] < 0:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = INF
+        free = [u for u in range(n_left) if pair_u[u] < 0]
+        dist = [INF if v >= 0 else 0 for v in pair_u]
+        queue = free.copy()
         reachable_free = False
         for u in queue:
             for v in adjacency[u]:
@@ -80,40 +72,31 @@ def max_bipartite_matching(n_left: int, n_right: int, adjacency) -> int:
                     queue.append(w)
         if not reachable_free:
             return total
-        # Iterative DFS along the layers augments a maximal set of disjoint
-        # shortest paths; a vertex that leads nowhere is retired for the phase.
-        for u0 in range(n_left):
-            if pair_u[u0] >= 0:
-                continue
-            sp = 0
-            stack_u[0] = u0
-            cursor[u0] = 0
-            while sp >= 0:
-                u = stack_u[sp]
-                row = adjacency[u]
-                advanced = False
-                while cursor[u] < len(row):
-                    v = row[cursor[u]]
-                    cursor[u] += 1
+        # DFS along the layers augments a maximal set of disjoint shortest
+        # paths.  Each left vertex resumes its own iterator over its row, so
+        # no edge is tried twice in a phase; a vertex that runs out of edges
+        # leads nowhere and is retired for the phase.  Past the root, `path`
+        # holds left vertices, each the partner of the right vertex before it.
+        rest = list(map(iter, adjacency))
+        for root in free:
+            path = [root]
+            while path:
+                u = path[-1]
+                for v in rest[u]:
                     w = pair_v[v]
-                    if w < 0:
-                        stack_v[sp] = v
-                        for i in range(sp, -1, -1):
-                            pair_u[stack_u[i]] = stack_v[i]
-                            pair_v[stack_v[i]] = stack_u[i]
-                        total += 1
-                        sp = -2
-                        advanced = True
+                    if w < 0 or dist[w] == dist[u] + 1:
                         break
-                    if dist[w] == dist[u] + 1:
-                        stack_v[sp] = v
-                        sp += 1
-                        stack_u[sp] = w
-                        cursor[w] = 0
-                        advanced = True
-                        break
-                if sp == -2:
-                    break
-                if not advanced:
+                else:
                     dist[u] = INF
-                    sp -= 1
+                    path.pop()
+                    continue
+                if w < 0:
+                    # v is free: from the end back, each vertex on the path
+                    # takes the right vertex after it and hands its partner
+                    # (the one before it, -1 at the root) back down the path
+                    for u in reversed(path):
+                        pair_v[v] = u
+                        pair_u[u], v = v, pair_u[u]
+                    total += 1
+                    break
+                path.append(w)

@@ -153,17 +153,6 @@ def _box(bar, others, births, delta) -> list[int]:
     return [j for j in range(lo, hi) if abs(others[j][1] - d) <= delta]
 
 
-def _covers(forced, others, births, delta) -> bool:
-    """Whether one matching of cost <= delta covers every bar of `forced`."""
-    adjacency = []
-    for bar in forced:
-        row = _box(bar, others, births, delta)
-        if not row:
-            return False
-        adjacency.append(row)
-    return max_bipartite_matching(len(forced), len(others), adjacency) == len(forced)
-
-
 def _finite_bottleneck(bars1, bars2) -> int:
     """Least delta at which the finite (birth, death) pairs admit a matching of
     cost <= delta, every unmatched bar paying half its length to the diagonal."""
@@ -189,19 +178,19 @@ def _finite_bottleneck(bars1, bars2) -> int:
     def feasible(delta) -> bool:
         # Mendelsohn-Dulmage: a delta-matching exists iff one matching covers
         # every forced bar1 and another every forced bar2.
-        return all(
-            _covers([(b, d) for b, d in bars if d - b > 2 * delta], others, births, delta)
-            for bars, others, births in directions
-        )
+        for bars, others, births in directions:
+            adjacency = []
+            for b, d in bars:
+                if d - b > 2 * delta:
+                    adjacency.append(_box((b, d), others, births, delta))
+                    if not adjacency[-1]:
+                        return False
+            if max_bipartite_matching(len(adjacency), len(others), adjacency) < len(adjacency):
+                return False
+        return True
 
-    lo, hi = 0, len(ordered) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(ordered[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    return ordered[lo]
+    # the least feasible candidate; the largest is feasible, so never tested
+    return ordered[bisect_left(ordered, True, hi=len(ordered) - 1, key=feasible)]
 
 
 def _bottleneck_single(bars1, bars2):
@@ -241,6 +230,8 @@ def bottleneck(b1: Barcode, b2: Barcode, dim: int | None = None):
     such bar2.  A bar's edges come from a delta-box around it, found by
     bisection over the other side's sorted births.
     """
+    if dim is not None and (isinstance(dim, bool) or not isinstance(dim, int)):
+        raise TypeError(f"degree must be an int, got {dim!r}")
     if dim is not None and dim < 0:
         raise ValueError(f"degree must be nonnegative, got {dim}")
     # a barcode's bars are sorted by degree first, so one pass groups them

@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the library's algorithms: homology
 ranks come from plain Gaussian elimination, bottleneck values from
 permutation enumeration or, for mid-size barcodes, from perfect matchings
-of the diagonal-augmented graph in Fraction arithmetic (through the
-library's Hopcroft-Karp, itself checked against Kuhn's algorithm).
+of the diagonal-augmented graph in Fraction arithmetic, found by Kuhn's
+augmenting-path algorithm (the library's Hopcroft-Karp is checked
+against the same oracle).
 `reference_barcode` orders cells by their Fraction weights and reduces
 every column left to right, where the library orders cells by integer
 ranks and reduces dimension by dimension with clearing.  `kunneth_barcode`
@@ -19,7 +20,6 @@ from fractions import Fraction
 from itertools import permutations
 
 from fcw import Bar, Barcode, Cell, FilteredComplex, NEG_INF, POS_INF, format_extended
-from fcw._kernels import max_bipartite_matching
 
 WEIGHT_POOL = [
     Fraction(-1),
@@ -144,11 +144,21 @@ def random_barcode(rng: random.Random, max_bars: int = 8, dims=(0, 1, 2)) -> Bar
     return Barcode(bars)
 
 
+def grid_values(side: int, rng: random.Random) -> list[list[Fraction]]:
+    """Random vertex values for a side x side grid."""
+    return [[Fraction(rng.randrange(24), rng.choice((1, 2, 3, 4))) for _ in range(side)] for _ in range(side)]
+
+
 def grid_document(side: int, rng: random.Random) -> str:
-    """An `fcw/1` document of the lower-star cubical complex of a side x side
-    vertex grid with random vertex values (an edge or square takes the
-    largest value among its vertices)."""
-    value = [[Fraction(rng.randrange(24), rng.choice((1, 2, 3, 4))) for _ in range(side)] for _ in range(side)]
+    """An `fcw/1` document of the lower-star complex of a grid with random values."""
+    return lower_star_document(grid_values(side, rng))
+
+
+def lower_star_document(value) -> str:
+    """An `fcw/1` document of the lower-star cubical complex of the vertex
+    grid with values `value[i][j]` (an edge or square takes the largest
+    value among its vertices), plus a separate eternal basepoint."""
+    side = len(value)
     cells = [("pt", 0, NEG_INF, ())]
     for i in range(side):
         for j in range(side):
@@ -364,6 +374,23 @@ def brute_bottleneck_single(bars1, bars2):
     return best
 
 
+def brute_max_matching(n_left, n_right, adjacency):
+    """Kuhn's augmenting-path algorithm, recursion-based (independent oracle)."""
+    pair_v = [-1] * n_right
+
+    def augment(u, seen):
+        for v in adjacency[u]:
+            if v in seen:
+                continue
+            seen.add(v)
+            if pair_v[v] < 0 or augment(pair_v[v], seen):
+                pair_v[v] = u
+                return True
+        return False
+
+    return sum(1 for u in range(n_left) if augment(u, set()))
+
+
 def _augmented_feasible(delta, cost, diag1, diag2, n1, n2) -> bool:
     # Left side: bars1 then diagonal copies of bars2; right side: bars2 then
     # diagonal copies of bars1.  A partial matching of cost <= delta exists
@@ -380,7 +407,7 @@ def _augmented_feasible(delta, cost, diag1, diag2, n1, n2) -> bool:
         if diag2[j] is not None and diag2[j] <= delta:
             row.append(j)
         adjacency.append(row)
-    return max_bipartite_matching(n1 + n2, n1 + n2, adjacency) == n1 + n2
+    return brute_max_matching(n1 + n2, n1 + n2, adjacency) == n1 + n2
 
 
 def reference_bottleneck_single(bars1, bars2):

@@ -1,5 +1,6 @@
-"""Exact bottleneck distance against a permutation-enumeration oracle and,
-beyond its reach, the augmented-graph reference algorithm."""
+"""Exact bottleneck distance against a permutation-enumeration oracle,
+beyond its reach the augmented-graph reference algorithm, and at sizes
+neither oracle reaches the shift and stability identities."""
 
 from __future__ import annotations
 
@@ -7,7 +8,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import brute_bottleneck, random_barcode, reference_bottleneck, two_sphere_two_peaks
+from helpers import (
+    brute_bottleneck,
+    grid_document,
+    grid_values,
+    lower_star_document,
+    random_barcode,
+    reference_bottleneck,
+    two_sphere_two_peaks,
+)
 
 from fcw import (
     Bar,
@@ -16,6 +25,7 @@ from fcw import (
     POS_INF,
     barcode,
     bottleneck,
+    parse_complex,
     sphere,
 )
 
@@ -67,6 +77,13 @@ def test_dim_restriction():
     assert bottleneck(left, right, dim=1) == F(1, 2)
     assert bottleneck(left, right) == F(1, 2)
     assert bottleneck(left, right, dim=7) == 0
+
+
+def test_non_int_degree_is_rejected():
+    left = Barcode([Bar(0, 0, 4), Bar(1, 0, 1)])
+    for dim in (1.5, True, "1"):
+        with pytest.raises(TypeError, match="degree must be an int"):
+            bottleneck(left, Barcode(), dim=dim)
 
 
 def test_negative_degree_is_rejected():
@@ -169,3 +186,52 @@ def test_matches_reference_on_finite_bars_only():
         right = Barcode(_nudge(rng, b) for b in bars if rng.random() < 0.8)
         assert bottleneck(left, right) == reference_bottleneck(left, right)
         assert bottleneck(right, left) == reference_bottleneck(right, left)
+
+
+# -- exact identities at scale ------------------------------------------------
+
+
+def shifted(bc, a):
+    """Every finite endpoint of bc moved by a."""
+
+    def move(v):
+        return v if v is NEG_INF or v is POS_INF else v + a
+
+    return Barcode(Bar(b.dim, move(b.birth), move(b.death)) for b in bc)
+
+
+def test_shift_moves_grid_barcodes_by_exactly_the_shift():
+    # A shift by a moves every bar by |a|, so the distance is at most |a|.  A
+    # grid beside an eternal basepoint has an immortal H0 bar with a finite
+    # birth, which can only go to the other immortal one: exactly |a|.
+    rng = random.Random(269)
+    for side in (20, 30, 40):
+        x = parse_complex(grid_document(side, rng))
+        bc = barcode(x)
+        for a in (F(1, 3), F(-5, 2), F(7)):
+            moved = barcode(x.shift(a))
+            assert moved == shifted(bc, a)
+            assert bottleneck(bc, moved) == abs(a)
+
+
+def test_shift_moves_overlapping_bars_by_exactly_the_shift():
+    # every bar within every other's half-length: the quadratic case
+    rng = random.Random(271)
+    bars = [Bar(0, F(rng.randrange(400), 4), F(rng.randrange(4000, 4400), 4)) for _ in range(300)]
+    bc = Barcode([*bars, Bar(0, F(3), POS_INF)])
+    a = F(5, 4)
+    assert bottleneck(bc, shifted(bc, a)) == a
+    assert bottleneck(shifted(bc, a), bc) == a
+
+
+def test_stability_on_perturbed_grids():
+    # Cohen-Steiner-Edelsbrunner-Harer: the barcodes of two lower-star
+    # filtrations f, g of one grid are within max |f - g| of each other
+    rng = random.Random(277)
+    for side in (10, 20, 30):
+        for spread in (1, 6, 24):
+            f = grid_values(side, rng)
+            g = [[v + F(rng.randint(-spread, spread), rng.choice((2, 3, 5))) for v in row] for row in f]
+            eps = max(abs(u - v) for row_f, row_g in zip(f, g) for u, v in zip(row_f, row_g))
+            bf, bg = (barcode(parse_complex(lower_star_document(v))) for v in (f, g))
+            assert 0 < bottleneck(bf, bg) <= eps

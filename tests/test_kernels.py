@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 import tracemalloc
 
-from helpers import _gf2_rank, grid_document, random_complex
+from helpers import _gf2_rank, brute_max_matching, grid_document, random_complex
 
 from fcw import parse_complex
 from fcw._kernels import max_bipartite_matching, reduce_pairing
@@ -100,41 +100,55 @@ def test_reduce_pairing_memory_scales_with_the_input():
     assert kernel_peak(70) < 8 * kernel_peak(35)
 
 
-def brute_max_matching(n_left, n_right, adjacency):
-    """Kuhn's augmenting-path algorithm, recursion-based (independent oracle)."""
-    pair_v = [-1] * n_right
-
-    def augment(u, seen):
-        for v in adjacency[u]:
-            if v in seen:
-                continue
-            seen.add(v)
-            if pair_v[v] < 0 or augment(pair_v[v], seen):
-                pair_v[v] = u
-                return True
-        return False
-
-    return sum(1 for u in range(n_left) if augment(u, set()))
-
-
 def random_graph(rng, n_left, n_right, density=0.25):
     return [
         [v for v in range(n_right) if rng.random() < density] for _ in range(n_left)
     ]
 
 
-def test_matching_against_kuhn_oracle():
-    rng = random.Random(257)
+def staircase(n, width):
+    """Left i is joined to right i + width, ..., i (the last ones clipped at
+    n - 1), in that order.  The first phase takes each left vertex's highest
+    free neighbour, which blocks the last `width` left vertices; the later
+    phases' augmenting paths run back down about n / width steps."""
+    return [list(range(min(i + width, n - 1), i - 1, -1)) for i in range(n)]
+
+
+def relabelled(rng, adjacency, n_right):
+    """The same graph with the vertices of both sides renumbered at random."""
+    right = rng.sample(range(n_right), n_right)
+    rows = [[right[v] for v in row] for row in adjacency]
+    rng.shuffle(rows)
+    return rows
+
+
+def matching_inputs(rng):
+    """Small random graphs, then graphs of up to 200 vertices per side that
+    need deep augmenting paths and several phases: staircases (up to n
+    steps deep and 5 phases), relabelled staircases, and sparse random
+    graphs (3 to 5 phases)."""
     for _ in range(60):
         nl, nr = rng.randint(0, 9), rng.randint(0, 9)
-        adjacency = random_graph(rng, nl, nr, density=rng.uniform(0.1, 0.7))
+        yield nl, nr, random_graph(rng, nl, nr, density=rng.uniform(0.1, 0.7))
+    for n in (1, 2, 20, 200):
+        for width in (1, 2, 5, 8):
+            yield n, n, staircase(n, width)
+            yield n, n, relabelled(rng, staircase(n, width), n)
+    for n in (100, 150, 200):
+        for degree in (1.5, 2, 3):
+            yield n, n, random_graph(rng, n, n, density=degree / n)
+
+
+def test_matching_against_kuhn_oracle():
+    for nl, nr, adjacency in matching_inputs(random.Random(257)):
         assert max_bipartite_matching(nl, nr, adjacency) == brute_max_matching(nl, nr, adjacency)
 
 
 def bottleneck_shaped_graph(rng, n1, n2, density):
-    """The bottleneck's feasibility graph: bars1 and diagonal copies of bars2 on
-    the left, bars2 and diagonal copies of bars1 on the right, with every
-    diagonal copy joined to every other (a complete n2 x n1 block)."""
+    """The reference oracle's diagonal-augmented graph (the library does not
+    build it): bars1 and diagonal copies of bars2 on the left, bars2 and
+    diagonal copies of bars1 on the right, with every diagonal copy joined
+    to every other (a complete n2 x n1 block)."""
     adjacency = []
     for i in range(n1):
         row = [j for j in range(n2) if rng.random() < density]
