@@ -78,6 +78,7 @@ def max_bipartite_matching(n_left: int, n_right: int, adjacency) -> int:
         # leads nowhere and is retired for the phase.  Past the root, `path`
         # holds left vertices, each the partner of the right vertex before it.
         rest = list(map(iter, adjacency))
+        before = total
         for root in free:
             path = [root]
             while path:
@@ -100,3 +101,7 @@ def max_bipartite_matching(n_left: int, n_right: int, adjacency) -> int:
                     total += 1
                     break
                 path.append(w)
+        # the BFS reached a free vertex, so the phase augments at least once, and
+        # no matching has more than n_left edges: the phases end
+        if not before < total <= n_left:
+            raise RuntimeError(f"max_bipartite_matching: a phase took the matching from {before} to {total} edges")

@@ -18,7 +18,7 @@ from collections import Counter
 from . import fileformat
 from ._record import Record
 from .complexes import FilteredComplex, product, smash, sphere, wedge
-from .errors import FCWError, ParseError
+from .errors import FCWError, ParseError, ValidationError
 from .rationals import NEG_INF, format_extended
 
 
@@ -57,8 +57,10 @@ def _scalar(value) -> str:
 
 
 def _cmd_validate(ns) -> CommandResult:
-    built = fileformat.parse_document(_read(ns.file))
-    violations = built.validate()
+    try:
+        violations = fileformat.parse_document(_read(ns.file)).validate()
+    except ValidationError as exc:  # a duplicate id stops the build
+        violations = exc.violations
     if not violations:
         return CommandResult(0, "ok\n", "")
     return CommandResult(1, "".join(f"{v}\n" for v in violations), "")

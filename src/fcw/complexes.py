@@ -228,12 +228,13 @@ class FilteredComplex:
                         detail = f"boundary cell {ids[r]} has weight {levels[rank[r]]} > {levels[top]}"
                         flag("WeightMonotonicityViolation", ids[j], detail)
             if resolved:
-                # each cell of the boundaries' boundaries must appear an even number of times
-                hits = [k for r in bound for k in bounds[r]]
-                hits.sort()
-                if hits[::2] != hits[1::2]:
-                    odd = sorted(names[k] for k in set(hits) if hits.count(k) % 2)
-                    detail = f"boundary of boundary hits {odd}"
+                # each cell of the boundaries' boundaries must appear an even number of
+                # times; a boundary holds distinct positions, so parity is one XOR
+                odd = set()
+                for r in bound:
+                    odd.symmetric_difference_update(bounds[r])
+                if odd:
+                    detail = f"boundary of boundary hits {sorted(map(ids.__getitem__, odd))}"
                     square.append(Violation("BoundarySquareViolation", ids[j], detail))
         return out + square
 
@@ -340,15 +341,15 @@ def sphere(k: int, level) -> FilteredComplex:
     return FilteredComplex._build(["pt", "c1"], [0, k], [NEG_INF, _as_weight(level)], [(), ()], "pt")
 
 
-# -- binary constructions -----------------------------------------------------
+# -- binary constructions: each operand passes require_valid() first ----------
 
 
 def wedge(x: FilteredComplex, y: FilteredComplex) -> FilteredComplex:
     """One-point union: operand cells prefixed `l.` / `r.`, basepoints merged."""
     ids, dims, weights, boundaries = ["pt"], [0], [NEG_INF], [()]
-    for prefix, operand in (("l.", x), ("r.", y)):
+    for prefix, operand in (("l.", x.require_valid()), ("r.", y.require_valid())):
         bp = operand.basepoint
-        names = ["pt" if name == bp else prefix + name for name in operand._ids + operand._unknown]
+        names = ["pt" if name == bp else prefix + name for name in operand._ids]
         for i, name in enumerate(operand._ids):
             if name != bp:
                 ids.append(names[i])
@@ -364,17 +365,13 @@ def _pair_weight(wa, wb, filtered: bool):
         if wa is NEG_INF or wb is NEG_INF:
             return NEG_INF
         return wa + wb
-    if wa is NEG_INF:
-        return wb
-    if wb is NEG_INF:
-        return wa
-    return max(wa, wb)
+    return max(wa, wb)  # NEG_INF orders below every weight
 
 
-def _pair_ids(left, right, reserved=()) -> list[str]:
+def _pair_ids(left, right) -> list[str]:
     """Deterministic unique ids for the pairs of two id lists, row by row:
     `l.<a>*r.<b>` plus a collision guard."""
-    used = set(reserved)
+    used = set()
     names = []
     for a in left:
         for b in right:
@@ -388,21 +385,19 @@ def _pair_ids(left, right, reserved=()) -> list[str]:
     return names
 
 
-def _pair_cells(x, y, skip_x, skip_y, filtered, reserved=()):
-    """Parallel ids, dims, weights and boundaries of the pairs of cells of x
-    and y, leaving out cell `skip_x` of x and `skip_y` of y (positions, or
-    None) as pair members and as boundary cells."""
-    for operand in (x, y):
-        if operand._unknown:
-            raise ValidationError(operand.validate())
+def _pair_cells(x, y, skip_x, skip_y, filtered):
+    """Parallel ids, dims, weights and boundaries of the pairs of cells of the
+    valid complexes x and y, leaving out cell `skip_x` of x and `skip_y` of y
+    (positions, or None) as pair members and as boundary cells."""
     keep_x = [i for i in range(len(x)) if i != skip_x]
     keep_y = [j for j in range(len(y)) if j != skip_y]
     m = len(keep_y)
     at_x, at_y = dict(zip(keep_x, range(len(keep_x)))), dict(zip(keep_y, range(m)))
-    # a pair's boundary: (boundary of its x cell) x its y cell, and its x cell x (boundary of its y cell)
+    # a pair's boundary: (boundary of its x cell) x its y cell, and its x cell x (boundary
+    # of its y cell); the two halves share no cell, as a boundary cell is one dimension down
     down_x = [[at_x[a] * m for a in x._bounds[i] if a != skip_x] for i in keep_x]
     down_y = [[at_y[b] for b in y._bounds[j] if b != skip_y] for j in keep_y]
-    ids = _pair_ids(map(x._ids.__getitem__, keep_x), list(map(y._ids.__getitem__, keep_y)), reserved)
+    ids = _pair_ids(map(x._ids.__getitem__, keep_x), list(map(y._ids.__getitem__, keep_y)))
     rank_x, rank_y = x._rank, y._rank
     sums = {}  # (rank in x, rank in y) -> weight: one object per distinct pair of weights
     dims, weights, boundaries = [], [], []
@@ -413,24 +408,19 @@ def _pair_cells(x, y, skip_x, skip_y, filtered, reserved=()):
                 sums[key] = _pair_weight(x._levels[key[0]], y._levels[key[1]], filtered)
             dims.append(x._dims[i] + y._dims[j])
             weights.append(sums[key])
-            refs = {ids[a + q] for a in down_x[p]}
-            refs.update([ids[p * m + b] for b in down_y[q]])
-            boundaries.append(refs)
+            boundaries.append([ids[a + q] for a in down_x[p]] + [ids[p * m + b] for b in down_y[q]])
     return ids, dims, weights, boundaries
 
 
 def product(x: FilteredComplex, y: FilteredComplex, filtered: bool = False) -> FilteredComplex:
     """Cellwise product; weights take the max (naive) or the sum (filtered)."""
-    for operand in (x, y):
-        if operand.basepoint not in operand:
-            raise ValidationError(operand.validate())
-    ids, dims, weights, boundaries = _pair_cells(x, y, None, None, filtered)
+    ids, dims, weights, boundaries = _pair_cells(x.require_valid(), y.require_valid(), None, None, filtered)
     basepoint = ids[x._index[x.basepoint] * len(y) + y._index[y.basepoint]]
     return FilteredComplex._build(ids, dims, weights, boundaries, basepoint)
 
 
 def smash(x: FilteredComplex, y: FilteredComplex, filtered: bool = False) -> FilteredComplex:
     """Product with the wedge collapsed: only pairs of non-basepoint cells survive."""
-    skip_x, skip_y = x._index.get(x.basepoint), y._index.get(y.basepoint)
-    ids, dims, weights, boundaries = _pair_cells(x, y, skip_x, skip_y, filtered, reserved=("pt",))
+    skip_x, skip_y = x.require_valid()._index[x.basepoint], y.require_valid()._index[y.basepoint]
+    ids, dims, weights, boundaries = _pair_cells(x, y, skip_x, skip_y, filtered)
     return FilteredComplex._build(["pt", *ids], [0, *dims], [NEG_INF, *weights], [(), *boundaries], "pt")

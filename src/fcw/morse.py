@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from ._record import Record
 from .complexes import FilteredComplex
-from .errors import InvalidBoundaries, NegativeWeight, ParseError, UnsupportedCell
+from .errors import InvalidBoundaries, NegativeWeight, ParseError, UnsupportedCell, ValidationError
 from .polynomial import Polynomial
 from .rationals import NEG_INF, as_fraction, parse_rational
 
@@ -101,10 +101,10 @@ def morse_complex(datum: MorseDatum, boundaries=None) -> FilteredComplex:
         [(), *bounds],
         "pt",
     )
-    violations = built.validate()
-    if violations:
-        raise InvalidBoundaries("; ".join(str(v) for v in violations))
-    return built
+    try:
+        return built.require_valid()
+    except ValidationError as exc:
+        raise InvalidBoundaries(str(exc)) from exc
 
 
 def _normalise_boundaries(boundaries) -> dict[str, frozenset]:

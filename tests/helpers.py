@@ -9,13 +9,15 @@ against the same oracle).
 `reference_barcode` orders cells by their Fraction weights and reduces
 every column left to right, where the library orders cells by integer
 ranks and reduces dimension by dimension with clearing.  `kunneth_barcode`
-predicts the barcode of a filtered smash from its factors' barcodes alone.
+predicts the barcode of a filtered smash from its factors' barcodes alone,
+and `barcode_euler_terms` the Euler polynomial from a barcode's endpoints.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
@@ -266,6 +268,24 @@ def kunneth_barcode(x: FilteredComplex, y: FilteredComplex) -> Barcode:
             if b is not POS_INF and d is not POS_INF:
                 bars.append(Bar(u.dim + v.dim + 1, max(a + d, b + c), b + d))
     return Barcode(bars)
+
+
+def barcode_euler_terms(bc: Barcode) -> tuple:
+    """The (exponent, coefficient) terms, by increasing exponent, of the sum
+    over bars of (-1)^dim (t^birth - t^death), with t^-inf = t^inf = 0.
+
+    For the barcode of x this is euler_polynomial(x).terms(): a finite pair
+    gives its creator's term and its destroyer's, which cancel when their
+    weights are equal, and a class that never dies its creator's.  The
+    terms are summed in a Counter, not through Polynomial."""
+    sums = Counter()
+    for bar in bc.bars:
+        sign = (-1) ** bar.dim
+        if bar.birth is not NEG_INF:
+            sums[bar.birth] += sign
+        if bar.death is not POS_INF:
+            sums[bar.death] -= sign
+    return tuple(sorted((exp, coeff) for exp, coeff in sums.items() if coeff))
 
 
 # -- homology oracle ----------------------------------------------------------

@@ -117,6 +117,14 @@ def test_validate_command(tmp_path):
     assert "WeightMonotonicityViolation" in result.payload
 
 
+def test_validate_reports_a_duplicate_id_on_stdout(tmp_path):
+    doubled = tmp_path / "doubled.fcw"
+    text = (FIXTURES / "torus.fcw").read_text()
+    doubled.write_text(text.replace('"id": "b"', '"id": "a"'))
+    result = run(["validate", str(doubled)])
+    assert (result.exit_code, result.payload, result.error) == (1, "DuplicateCellId[a]: cell id appears twice\n", "")
+
+
 def test_constructions_round_trip_through_the_cli(tmp_path):
     doc = payload("smash", S2H, S2HP, "--filtered")
     built = tmp_path / "smash.fcw"

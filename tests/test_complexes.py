@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -124,6 +125,31 @@ def test_dimension_mismatch_detected():
         "pt",
     )
     assert "BoundaryDimensionViolation" in [v.kind for v in x.validate()]
+
+
+def open_path_under_a_face(edges: int) -> FilteredComplex:
+    """A 2-cell bounded by a path of edges from v0 to v<edges>: ∂∂ hits both ends."""
+    cells = [Cell("pt", 0, NEG_INF), *(Cell(f"v{i}", 0, 1) for i in range(edges + 1))]
+    cells += [Cell(f"e{i}", 1, 1, [f"v{i}", f"v{i + 1}"]) for i in range(edges)]
+    cells.append(Cell("f", 2, 1, [f"e{i}" for i in range(edges)]))
+    return FilteredComplex(cells, "pt")
+
+
+def test_boundary_square_check_scales_linearly():
+    def best_time(edges):
+        x = open_path_under_a_face(edges)
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            violations = x.validate()
+            times.append(time.perf_counter() - start)
+            assert [str(v) for v in violations] == [
+                f"BoundarySquareViolation[f]: boundary of boundary hits ['v0', 'v{edges}']"
+            ]
+        return min(times)
+
+    # ten times the boundary: a linear check takes about 10x, a quadratic one about 100x
+    assert best_time(20000) < 30 * best_time(2000)
 
 
 def test_duplicate_ids_rejected_at_construction():
@@ -469,6 +495,23 @@ def test_constructions_preserve_validity():
         ]
         for result in results:
             assert result.validate() == []
+
+
+INVALID_OPERANDS = {
+    "heavier-boundary": [Cell("pt", 0, NEG_INF), Cell("e", 1, 2), Cell("f", 2, 1, ["e"])],
+    "nonzero-square": [Cell("pt", 0, NEG_INF), Cell("v", 0, 1), Cell("e", 1, 1, ["v"]), Cell("f", 2, 1, ["e"])],
+}
+
+
+@pytest.mark.parametrize("cells", INVALID_OPERANDS.values(), ids=INVALID_OPERANDS)
+@pytest.mark.parametrize("construction", [wedge, product, smash])
+def test_constructions_reject_an_invalid_operand(construction, cells):
+    bad, good = FilteredComplex(cells, "pt"), sphere(1, 0)
+    assert bad.validate()
+    for operands in ((bad, good), (good, bad)):
+        with pytest.raises(ValidationError) as info:
+            construction(*operands)
+        assert info.value.violations == bad.validate()
 
 
 def test_two_sphere_two_peaks_fixture_is_valid():

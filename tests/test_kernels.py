@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import tracemalloc
 
+import pytest
 from helpers import _gf2_rank, brute_max_matching, grid_document, random_complex
 
 from fcw import parse_complex
@@ -179,3 +180,21 @@ def test_matching_on_bottleneck_shaped_graphs():
 def test_perfect_matching_detected():
     adjacency = [[0], [1], [2]]
     assert max_bipartite_matching(3, 3, adjacency) == 3
+
+
+class Flickering(list):
+    """A row whose edges show on odd iterations only, so the BFS of a phase
+    sees them and its DFS does not.  Past 20 iterations it fails the test
+    instead of letting the kernel repeat such phases forever."""
+
+    seen = 0
+
+    def __iter__(self):
+        self.seen += 1
+        assert self.seen <= 20, "the kernel repeats a phase that augments nothing"
+        return super().__iter__() if self.seen % 2 else iter(())
+
+
+def test_a_phase_that_augments_nothing_is_an_error():
+    with pytest.raises(RuntimeError, match="max_bipartite_matching"):
+        max_bipartite_matching(1, 1, [Flickering([0])])

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 from helpers import (
+    barcode_euler_terms,
     bars_alive,
     grid_document,
     homology_ranks,
@@ -29,6 +30,7 @@ from fcw import (
     ValidationError,
     barcode,
     euler_from_barcode,
+    euler_polynomial,
     parse_complex,
     parse_document,
     smash,
@@ -147,6 +149,24 @@ def test_euler_from_barcode_equals_cellular_euler():
         bc = barcode(x)
         for level in [NEG_INF] + x.spectrum():
             assert euler_from_barcode(bc, level) == x.euler_char_sublevel(level)
+
+
+def test_barcode_endpoints_sum_to_the_euler_polynomial():
+    rng = random.Random(109)
+    for _ in range(300):
+        x = random_complex(rng)
+        assert barcode_euler_terms(barcode(x)) == euler_polynomial(x).terms()
+    for side in (20, 30, 40):
+        x = parse_complex(grid_document(side, rng))
+        assert barcode_euler_terms(barcode(x)) == euler_polynomial(x).terms()
+
+
+def test_filtered_grid_smash_barcode_sums_to_the_euler_polynomial():
+    rng = random.Random(113)
+    x, y = (parse_complex(grid_document(6, rng)) for _ in range(2))
+    smashed = smash(x, y, filtered=True)
+    assert len(smashed) == 14642
+    assert barcode_euler_terms(barcode(smashed)) == euler_polynomial(smashed).terms()
 
 
 def test_reduction_is_independent_of_cell_names():
