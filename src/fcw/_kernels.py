@@ -23,6 +23,7 @@ def reduce_pairing(columns, dims) -> list[int]:
     owns its low (largest) row, as a set over GF(2), until its low is new
     (it is kept, as a tuple if it changed) or it is zero.  A cell already
     paired as a low row is skipped, as its column would reduce to zero.
+    Each addition cancels the low, so the low falls and the loop ends.
     """
     partner = [-1] * len(columns)
     by_dim: dict[int, list[int]] = {}
@@ -39,7 +40,9 @@ def reduce_pairing(columns, dims) -> list[int]:
                 column = set(column)
                 while low in owner:
                     column.symmetric_difference_update(owner[low])
-                    low = max(column) if column else -1
+                    low, last = max(column) if column else -1, low
+                    if low >= last:
+                        raise RuntimeError(f"reduce_pairing: an addition took column {j}'s low from {last} to {low}")
                 column = tuple(column)
             if low >= 0:
                 owner[low] = column

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
+from decimal import Decimal  # loaded by fractions already: no start-up cost
 
 # Each handler imports the layers beyond these when it runs, so a process
 # loads only what its subcommand needs.  product, smash and wedge stay
@@ -42,15 +43,22 @@ def _load(path: str) -> FilteredComplex:
     return fileformat.parse_complex(_read(path))
 
 
-def _finite_weight(text: str, flag: str):
-    value = fileformat.parse_weight(text)
-    if value is NEG_INF:
+def _weight(text: str, flag: str, finite: bool = True):
+    """A flag's weight; a ParseError names the flag."""
+    try:
+        value = fileformat.parse_weight(text)
+    except ParseError as exc:
+        raise ParseError(f"{flag}: {exc}") from None
+    if finite and value is NEG_INF:
         raise ParseError(f"{flag} must be a finite rational")
     return value
 
 
-def _scalar(value) -> str:
-    return f"{value}\n"
+def _exact(value) -> str:
+    """An int or Fraction in lowest terms.  A sum over many cells can pass the
+    4300 digits str() converts; Decimal converts an int of any length."""
+    text = str(Decimal(value.numerator))
+    return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
 
 
 # -- handlers -----------------------------------------------------------------
@@ -80,9 +88,9 @@ def _cmd_info(ns) -> str:
         "spectrum:" + "".join(f" {v}" for v in spectrum),
         f"min-finite-weight: {spectrum[0] if spectrum else 'none'}",
         f"max-finite-weight: {spectrum[-1] if spectrum else 'none'}",
-        f"cell-count: {report.cell_count}",
-        f"weighted-size: {report.weighted_size}",
-        f"weighted-euler: {report.weighted_euler}",
+        f"cell-count: {_exact(report.cell_count)}",
+        f"weighted-size: {_exact(report.weighted_size)}",
+        f"weighted-euler: {_exact(report.weighted_euler)}",
     ]
     lines.extend(f"dim {d}: {counts[d]}" for d in sorted(counts))
     return "".join(f"{line}\n" for line in lines)
@@ -92,12 +100,12 @@ def _cmd_euler(ns) -> str:
     from . import invariants
 
     x = _load(ns.file)
-    upto = fileformat.parse_weight(ns.upto) if ns.upto is not None else None
+    upto = _weight(ns.upto, "--upto", finite=False) if ns.upto is not None else None
     poly = invariants.euler_polynomial(x, upto)
     if ns.derivative:
         poly = poly.derivative()
     if ns.at_one:
-        return _scalar(poly.at_one())
+        return _exact(poly.at_one()) + "\n"
     return poly.render() + "\n"
 
 
@@ -110,13 +118,13 @@ def _cmd_size(ns) -> str:
 def _cmd_weighted_euler(ns) -> str:
     from . import invariants
 
-    return _scalar(invariants.weighted_euler_char(_load(ns.file)))
+    return _exact(invariants.weighted_euler_char(_load(ns.file))) + "\n"
 
 
 def _cmd_match(ns) -> str:
     from . import invariants
 
-    return _scalar(invariants.matching_number(_load(ns.left), _load(ns.right)))
+    return _exact(invariants.matching_number(_load(ns.left), _load(ns.right))) + "\n"
 
 
 def _cmd_kclass(ns) -> str:
@@ -149,7 +157,7 @@ def _cmd_bottleneck(ns) -> str:
         raise ParseError(f"--dim must be nonnegative, got {ns.dim}")
     left = persistence.barcode(_load(ns.left))
     right = persistence.barcode(_load(ns.right))
-    return _scalar(format_extended(persistence.bottleneck(left, right, ns.dim)))
+    return format_extended(persistence.bottleneck(left, right, ns.dim)) + "\n"
 
 
 def _cmd_wedge(ns) -> str:
@@ -173,17 +181,17 @@ def _cmd_suspend(ns) -> str:
 
 
 def _cmd_shift(ns) -> str:
-    return fileformat.serialize_complex(_load(ns.file).shift(_finite_weight(ns.by, "--by")))
+    return fileformat.serialize_complex(_load(ns.file).shift(_weight(ns.by, "--by")))
 
 
 def _cmd_cutoff(ns) -> str:
-    return fileformat.serialize_complex(_load(ns.file).cutoff(_finite_weight(ns.at, "--at")))
+    return fileformat.serialize_complex(_load(ns.file).cutoff(_weight(ns.at, "--at")))
 
 
 def _cmd_sphere(ns) -> str:
     if ns.k < 0:
         raise ParseError(f"-k must be nonnegative, got {ns.k}")
-    return fileformat.serialize_complex(sphere(ns.k, fileformat.parse_weight(ns.level)))
+    return fileformat.serialize_complex(sphere(ns.k, _weight(ns.level, "-l", finite=False)))
 
 
 def _cmd_morse_build(ns) -> str:
@@ -203,8 +211,8 @@ def _cmd_morse_bounds(ns) -> str:
 
     datum = morse.parse_morse_datum(_read(ns.file))
     return (
-        f"spheres: {morse.bound_size_spheres(datum)}\n"
-        f"wedges: {morse.bound_size_wedges(datum)}\n"
+        f"spheres: {_exact(morse.bound_size_spheres(datum))}\n"
+        f"wedges: {_exact(morse.bound_size_wedges(datum))}\n"
     )
 
 
@@ -216,8 +224,8 @@ def _cmd_linearize(ns) -> str:
     chi = morse.euler_poly_rel(lin)
     return (
         f"lambda: {stats.poly.render()}\n"
-        f"count: {stats.count}\n"
-        f"weight: {stats.weight}\n"
+        f"count: {_exact(stats.count)}\n"
+        f"weight: {_exact(stats.weight)}\n"
         f"euler: {chi.render()}\n"
     )
 

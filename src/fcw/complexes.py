@@ -100,6 +100,18 @@ class FilteredComplex:
         x._fill(ids, dims, weights, boundaries, basepoint)
         return x
 
+    def _lists(self, names, keep, dims, drop=None) -> tuple[list, list, list, list]:
+        """The inverse of _build: parallel ids, dims, weights and boundary-id
+        lists of the cells at positions `keep`, position p named names[p] and
+        of dimension dims[p], with position `drop` left out of every boundary."""
+        levels, rank, bounds = self._levels, self._rank, self._bounds
+        return (
+            list(map(names.__getitem__, keep)),
+            list(map(dims.__getitem__, keep)),
+            [levels[rank[i]] for i in keep],
+            [[names[r] for r in bounds[i] if r != drop] for i in keep],
+        )
+
     def _fill(self, ids, dims, weights, boundaries, basepoint):
         """Set the tuples from parallel lists; each weight is a Fraction or
         NEG_INF and each dimension an int."""
@@ -143,11 +155,7 @@ class FilteredComplex:
     def cells(self) -> tuple[Cell, ...]:
         """All cells sorted by (dim, id) -- the canonical enumeration order."""
         if self._cells is None:
-            names, levels = self._ids + self._unknown, self._levels
-            self._cells = tuple(
-                Cell(cell_id, dim, levels[r], map(names.__getitem__, bound))
-                for cell_id, dim, r, bound in zip(self._ids, self._dims, self._rank, self._bounds)
-            )
+            self._cells = tuple(map(Cell, *self._lists(self._ids + self._unknown, range(len(self)), self._dims)))
         return self._cells
 
     def cell(self, cell_id: str) -> Cell:
@@ -207,16 +215,15 @@ class FilteredComplex:
                 flag("BadBasepoint", ids[bp], f"basepoint weight {levels[rank[bp]]} is finite")
             if bounds[bp]:
                 flag("BadBasepoint", ids[bp], "basepoint boundary not empty")
-        # the cells of one dimension are one block of the canonical order
-        block = {d: (dims.index(d), dims.index(d) + dims.count(d)) for d in set(dims)}
         resolved = not self._unknown
         square = []  # ∂∂ = 0 is checked only when every boundary id resolves, and reported last
         for j, bound in enumerate(bounds):
             if not bound:
                 continue
             dim, top = dims[j], rank[j]
-            lo, hi = block.get(dim - 1, (n, n))
-            if not (lo <= bound[0] and bound[-1] < hi and max(map(rank.__getitem__, bound)) <= top):
+            # positions sort by (dim, id), so the ends of a boundary bracket its dimensions
+            one_down = bound[-1] < n and dims[bound[0]] == dim - 1 == dims[bound[-1]]
+            if not (one_down and max(map(rank.__getitem__, bound)) <= top):
                 for r in sorted(bound, key=names.__getitem__):
                     if r >= n:
                         flag("MissingBoundaryCell", ids[j], f"references unknown cell {names[r]}")
@@ -252,16 +259,8 @@ class FilteredComplex:
     def sublevel(self, level) -> FilteredComplex:
         """The subcomplex of cells with weight <= level; weights retained."""
         top = bisect_right(self._levels, _as_weight(level), 0, len(self._levels) - 1)  # ranks below weigh <= level
-        bp = self._index.get(self._basepoint)
-        kept = [i for i, r in enumerate(self._rank) if r < top or i == bp]
-        names = self._ids + self._unknown
-        return FilteredComplex._build(
-            [self._ids[i] for i in kept],
-            [self._dims[i] for i in kept],
-            [self._levels[self._rank[i]] for i in kept],
-            [{names[r] for r in self._bounds[i]} for i in kept],  # dropped cells become unknown ids
-            self._basepoint,
-        )
+        kept = [i for i, r in enumerate(self.require_valid()._rank) if r < top]  # the basepoint weighs -inf
+        return FilteredComplex._build(*self._lists(self._ids, kept, self._dims), self._basepoint)
 
     def spectrum(self) -> list[Fraction]:
         """Sorted distinct finite weights among the cells."""
@@ -285,12 +284,13 @@ class FilteredComplex:
     def shift(self, amount) -> FilteredComplex:
         """Delay every finite weight by `amount`; eternal cells stay eternal."""
         amount = as_fraction(amount)
+        self.require_valid()
         return self._reweighted(self._rank, (*(w + amount for w in self._levels[:-1]), NEG_INF))
 
     def cutoff(self, floor) -> FilteredComplex:
         """Raise every non-basepoint weight to at least `floor`."""
         floor = as_fraction(floor)
-        bp, levels = self._index.get(self._basepoint), self._levels
+        bp, levels = self.require_valid()._index[self._basepoint], self._levels
         low = bisect_left(levels, floor, 0, len(levels) - 1)  # ranks below low weigh < floor
         weights = [levels[r] if r >= low or i == bp else floor for i, r in enumerate(self._rank)]
         return self._reweighted(*_rank_weights(weights))
@@ -299,29 +299,19 @@ class FilteredComplex:
 
     def suspend(self) -> FilteredComplex:
         """Raise every non-basepoint cell one dimension, same weights."""
-        bp, at = self._basepoint, self._index.get(self._basepoint)
-        names = self._ids + self._unknown
-        # the basepoint keeps its dimension and boundary; the other cells drop it from theirs
-        return FilteredComplex._build(
-            self._ids,
-            [d if i == at else d + 1 for i, d in enumerate(self._dims)],
-            list(map(self._levels.__getitem__, self._rank)),
-            [{names[r] for r in bound if i == at or names[r] != bp} for i, bound in enumerate(self._bounds)],
-            bp,
-        )
+        at = self.require_valid()._index[self._basepoint]
+        dims = [d + 1 for d in self._dims]
+        dims[at] = 0
+        # the basepoint's own boundary is empty; the other cells drop it from theirs
+        return FilteredComplex._build(*self._lists(self._ids, range(len(self)), dims, at), self._basepoint)
 
     # -- renaming -----------------------------------------------------------
 
     def rename(self, mapping: Mapping[str, str]) -> FilteredComplex:
         """Relabel cells; ids missing from the mapping keep their name."""
-        names = [mapping.get(name, name) for name in self._ids + self._unknown]
-        return FilteredComplex._build(
-            names[: len(self)],
-            self._dims,
-            list(map(self._levels.__getitem__, self._rank)),
-            [{names[r] for r in bound} for bound in self._bounds],
-            mapping.get(self._basepoint, self._basepoint),
-        )
+        names = [mapping.get(name, name) for name in self.require_valid()._ids]
+        lists = self._lists(names, range(len(self)), self._dims)
+        return FilteredComplex._build(*lists, mapping.get(self._basepoint, self._basepoint))
 
 
 # -- generators --------------------------------------------------------------
@@ -346,17 +336,15 @@ def sphere(k: int, level) -> FilteredComplex:
 
 def wedge(x: FilteredComplex, y: FilteredComplex) -> FilteredComplex:
     """One-point union: operand cells prefixed `l.` / `r.`, basepoints merged."""
-    ids, dims, weights, boundaries = ["pt"], [0], [NEG_INF], [()]
+    lists = ["pt"], [0], [NEG_INF], [()]
     for prefix, operand in (("l.", x.require_valid()), ("r.", y.require_valid())):
-        bp = operand.basepoint
-        names = ["pt" if name == bp else prefix + name for name in operand._ids]
-        for i, name in enumerate(operand._ids):
-            if name != bp:
-                ids.append(names[i])
-                dims.append(operand._dims[i])
-                weights.append(operand._levels[operand._rank[i]])
-                boundaries.append([names[r] for r in operand._bounds[i]])
-    return FilteredComplex._build(ids, dims, weights, boundaries, "pt")
+        bp = operand._index[operand.basepoint]
+        names = [prefix + name for name in operand._ids]
+        names[bp] = "pt"
+        keep = [*range(bp), *range(bp + 1, len(operand))]
+        for out, part in zip(lists, operand._lists(names, keep, operand._dims)):
+            out += part
+    return FilteredComplex._build(*lists, "pt")
 
 
 def _pair_weight(wa, wb, filtered: bool):

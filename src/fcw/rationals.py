@@ -70,9 +70,9 @@ def is_finite(v) -> bool:
 
 
 # An integer, p/q or a finite decimal, in ASCII digits: no exponent, no
-# underscores.  The length bound keeps parsed values, and the sums the
-# constructions and invariants make of a few of them, far below Python's
-# 4300-digit int-to-str limit, so whatever parses can be printed again.
+# underscores.  The length bound keeps parsed values, and the two-term sums the
+# constructions make of them, far below Python's 4300-digit int-to-str limit,
+# so every weight prints again; the CLI prints sums over all cells via Decimal.
 _RATIONAL = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+|\.[0-9]*)?|\.[0-9]+)")
 _MAX_LENGTH = 1000
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -314,6 +315,64 @@ def test_overlong_json_integer_in_boundaries_is_a_parse_error(tmp_path):
     result = run(["morse-build", str(datum), "--boundaries", str(boundaries)])
     assert result.exit_code == 2
     assert result.error.startswith("ParseError:")
+
+
+def primes(count):
+    found = []
+    k = 2
+    while len(found) < count:
+        if all(k % p for p in found if p * p <= k):
+            found.append(k)
+        k += 1
+    return found
+
+
+def exact(text: str) -> Fraction:
+    """`p` or `p/q` of any length: Decimal reads, and int() converts, past the
+    4300 digits int(str) stops at."""
+    numerator, _, denominator = text.partition("/")
+    return Fraction(int(Decimal(numerator)), int(Decimal(denominator or "1")))
+
+
+def test_sums_longer_than_str_can_print_are_exact(tmp_path):
+    # the sum of 1/p over 2 500 distinct primes has a denominator of about 9 700 digits
+    values = [F(1, p) for p in primes(2500)]
+    total = sum(values, F(0))
+    datum = tmp_path / "primes.morse"
+    datum.write_text("0\t0\n" + "".join(f"{v}\t1\n" for v in values))
+    built = tmp_path / "primes.fcw"
+    built.write_text(payload("morse-build", str(datum)))
+
+    def fields(*argv):
+        return dict(line.split(": ", 1) for line in payload(*argv).splitlines())
+
+    bounds = fields("morse-bounds", str(datum))
+    assert exact(bounds["spheres"]) == exact(bounds["wedges"]) == total
+    info = fields("info", str(built))
+    assert exact(info["cell-count"]) == 2500
+    assert exact(info["weighted-size"]) == total
+    assert exact(info["weighted-euler"]) == -total
+    assert exact(payload("weighted-euler", str(built))) == -total
+    assert exact(payload("euler", str(built), "--derivative", "--at-one")) == -total
+    stats = fields("linearize", str(built))
+    assert exact(stats["count"]) == 2500
+    assert exact(stats["weight"]) == total
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["shift", TORUS, "--by", "abc"],
+        ["cutoff", TORUS, "--at", "abc"],
+        ["euler", TORUS, "--upto", "abc"],
+        ["sphere", "-k", "1", "-l", "abc"],
+    ],
+    ids=["--by", "--at", "--upto", "-l"],
+)
+def test_a_bad_flag_value_names_the_flag(argv):
+    result = run(argv)
+    assert result.exit_code == 2
+    assert result.error == f"ParseError: {argv[-2]}: not an exact rational: 'abc'"
 
 
 def test_repeated_runs_are_byte_identical():

@@ -87,9 +87,11 @@ def test_missing_boundary_reference_detected():
     )
     kinds = [v.kind for v in x.validate()]
     assert "MissingBoundaryCell" in kinds
-    # the views built from a complex keep an id that names no cell
-    for view, cell_id in ((x.sublevel(1), "e"), (x.suspend(), "e"), (x.rename({"e": "f"}), "f")):
-        assert [str(v) for v in view.validate()] == [f"MissingBoundaryCell[{cell_id}]: references unknown cell ghost"]
+    # a view is built only from a valid complex
+    for view in (lambda: x.sublevel(1), x.suspend, lambda: x.rename({"e": "f"})):
+        with pytest.raises(ValidationError) as info:
+            view()
+        assert [str(v) for v in info.value.violations] == ["MissingBoundaryCell[e]: references unknown cell ghost"]
 
 
 def test_boundary_square_violation_detected():
@@ -149,6 +151,29 @@ def test_boundary_square_check_scales_linearly():
         return min(times)
 
     # ten times the boundary: a linear check takes about 10x, a quadratic one about 100x
+    assert best_time(20000) < 30 * best_time(2000)
+
+
+def alternating_pairs(pairs):
+    """The basepoint, then per k an empty (2k+1)-cell and a (2k+2)-cell bounded
+    by it: valid, with a dimension of its own for every other cell."""
+    cells = [Cell("pt", 0, NEG_INF)]
+    for k in range(pairs):
+        cells += [Cell(f"a{k}", 2 * k + 1, 1), Cell(f"b{k}", 2 * k + 2, 1, [f"a{k}"])]
+    return FilteredComplex(cells, "pt")
+
+
+def test_validate_scales_linearly_in_the_number_of_dimensions():
+    def best_time(cells):
+        x = alternating_pairs(cells // 2)
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            assert x.validate() == []
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    # ten times the cells, and the dimensions: a linear check takes about 10x, a quadratic one about 100x
     assert best_time(20000) < 30 * best_time(2000)
 
 
@@ -512,6 +537,29 @@ def test_constructions_reject_an_invalid_operand(construction, cells):
         with pytest.raises(ValidationError) as info:
             construction(*operands)
         assert info.value.violations == bad.validate()
+
+
+INVALID_COMPLEXES = {
+    "unknown-boundary-id": [Cell("pt", 0, NEG_INF), Cell("e", 1, 1, ["ghost"])],
+    **INVALID_OPERANDS,
+}
+VIEWS = {
+    "sublevel": lambda x: x.sublevel(1),
+    "suspend": lambda x: x.suspend(),
+    "rename": lambda x: x.rename({}),
+    "shift": lambda x: x.shift(1),
+    "cutoff": lambda x: x.cutoff(0),
+}
+
+
+@pytest.mark.parametrize("cells", INVALID_COMPLEXES.values(), ids=INVALID_COMPLEXES)
+@pytest.mark.parametrize("view", VIEWS.values(), ids=VIEWS)
+def test_views_reject_an_invalid_complex(view, cells):
+    x = FilteredComplex(cells, "pt")
+    assert x.validate()
+    with pytest.raises(ValidationError) as info:
+        view(x)
+    assert info.value.violations == x.validate()
 
 
 def test_two_sphere_two_peaks_fixture_is_valid():

@@ -198,3 +198,23 @@ class Flickering(list):
 def test_a_phase_that_augments_nothing_is_an_error():
     with pytest.raises(RuntimeError, match="max_bipartite_matching"):
         max_bipartite_matching(1, 1, [Flickering([0])])
+
+
+class FirstOnly(list):
+    """A column whose low row shows on its first iteration only, so adding it
+    to another column never cancels that row.  Past 20 iterations it fails the
+    test instead of letting the kernel add it forever."""
+
+    seen = 0
+
+    def __iter__(self):
+        self.seen += 1
+        assert self.seen <= 20, "the kernel adds a column that does not lower the low"
+        return super().__iter__() if self.seen == 1 else iter(self[:-1])
+
+
+def test_an_addition_that_keeps_the_low_is_an_error():
+    # both dimension-1 columns have low row 1; the second adds the first, which
+    # by then shows only row 0, so the low stays at 1
+    with pytest.raises(RuntimeError, match="reduce_pairing"):
+        reduce_pairing([[], [], FirstOnly([0, 1]), [0, 1]], [0, 0, 1, 1])
