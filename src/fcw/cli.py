@@ -39,8 +39,18 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: not UTF-8 text ({exc})") from exc
 
 
+def _parsed(path: str, parse):
+    """parse() of the file's text; a ParseError or ValidationError names the file."""
+    text = _read(path)
+    try:
+        return parse(text)
+    except (ParseError, ValidationError) as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def _load(path: str) -> FilteredComplex:
-    return fileformat.parse_complex(_read(path))
+    return _parsed(path, fileformat.parse_complex)
 
 
 def _weight(text: str, flag: str, finite: bool = True):
@@ -66,7 +76,7 @@ def _exact(value) -> str:
 
 def _cmd_validate(ns) -> CommandResult:
     try:
-        violations = fileformat.parse_document(_read(ns.file)).validate()
+        violations = _parsed(ns.file, fileformat.parse_document).validate()
     except ValidationError as exc:  # a duplicate id stops the build
         violations = exc.violations
     if not violations:

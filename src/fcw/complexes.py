@@ -52,6 +52,8 @@ class Cell(Record):
     __slots__ = ("id", "dim", "weight", "boundary")
 
     def __init__(self, id: str, dim: int, weight, boundary=frozenset()):
+        if not isinstance(id, str):
+            raise TypeError(f"cell id must be a str, got {id!r}")
         if not isinstance(dim, int) or isinstance(dim, bool):
             raise TypeError(f"cell dimension must be an int, got {dim!r}")
         super().__init__(id, dim, _as_weight(weight), frozenset(boundary))
@@ -79,7 +81,8 @@ class FilteredComplex:
     distinct finite weights, then ``-inf`` for rank -1.  A boundary id naming
     no cell gets position ``len(self) + k``, ``k`` indexing the sorted
     ``_unknown`` ids, so validate() can name it.  Validity and ``Cell``
-    records are made on first use.  The other modules of fcw read the tuples.
+    records are made on first use; shift and cutoff carry validity over.
+    The other modules of fcw read the tuples.
     """
 
     __slots__ = (
@@ -139,12 +142,13 @@ class FilteredComplex:
         self._valid = self._cells = None
 
     def _reweighted(self, rank, levels) -> FilteredComplex:
-        """The same cells with new ranks and levels."""
+        """The same cells with new ranks and levels that keep the order of
+        the old ones and the basepoint at -inf, so validity carries over."""
         x = FilteredComplex.__new__(FilteredComplex)
         for name in self.__slots__:
             setattr(x, name, getattr(self, name))
         x._rank, x._levels = rank, levels
-        x._valid = x._cells = None
+        x._cells = None
         return x
 
     @property
@@ -276,6 +280,7 @@ class FilteredComplex:
 
     def euler_char_sublevel(self, level) -> int:
         """Unreduced Euler characteristic of the sublevel complex."""
+        self.require_valid()
         top = bisect_right(self._levels, _as_weight(level), 0, len(self._levels) - 1)
         return sum((-1) ** d for d, r in zip(self._dims, self._rank) if r < top)
 
@@ -308,10 +313,14 @@ class FilteredComplex:
     # -- renaming -----------------------------------------------------------
 
     def rename(self, mapping: Mapping[str, str]) -> FilteredComplex:
-        """Relabel cells; ids missing from the mapping keep their name."""
+        """Relabel cells; ids missing from the mapping keep their name.  A
+        new name that breaks the id grammar raises ValidationError."""
         names = [mapping.get(name, name) for name in self.require_valid()._ids]
+        for name in names:
+            if not isinstance(name, str):
+                raise TypeError(f"cell id must be a str, got {name!r}")
         lists = self._lists(names, range(len(self)), self._dims)
-        return FilteredComplex._build(*lists, mapping.get(self._basepoint, self._basepoint))
+        return FilteredComplex._build(*lists, mapping.get(self._basepoint, self._basepoint)).require_valid()
 
 
 # -- generators --------------------------------------------------------------

@@ -18,17 +18,13 @@ from .polynomial import Polynomial
 
 def _cell_counts(x: FilteredComplex) -> Counter:
     """The number of cells, basepoint included, of each (weight rank, dim);
-    rank -1 stands for -inf."""
-    return Counter(zip(x._rank, x._dims))
+    rank -1 stands for -inf.  The validity gate of every invariant."""
+    return Counter(zip(x.require_valid()._rank, x._dims))
 
 
 def _weight_polynomial(x: FilteredComplex, counts: Counter, signed: bool) -> Polynomial:
     """Sum of t**weight, times (-1)**dim if `signed`, over non-basepoint cells,
     from `counts`, the table of _cell_counts(x)."""
-    bp = x._index.get(x.basepoint)
-    if bp is not None:
-        counts = counts.copy()
-        counts[x._rank[bp], x._dims[bp]] -= 1
     return Polynomial((x._levels[r], (-1) ** d * k if signed else k) for (r, d), k in counts.items())
 
 

@@ -163,12 +163,11 @@ def canonical_linearization(x: FilteredComplex) -> Linearization:
     rejected, as are negative weights.
     """
     entries = []
-    rank, dims, levels = x._rank, x._dims, x._levels
-    bp = x._index.get(x.basepoint)
+    rank, dims, levels = x.require_valid()._rank, x._dims, x._levels
     # stable on the (dim, id) order of the positions: (weight, dim, id) order
     for i in sorted(range(len(rank)), key=rank.__getitem__):
         w = levels[rank[i]]
-        if i == bp or w is NEG_INF:
+        if w is NEG_INF:
             continue
         if w < 0:
             raise NegativeWeight(f"cell {x._ids[i]} has weight {w} < 0")

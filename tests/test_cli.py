@@ -223,6 +223,19 @@ def test_parse_error_exit_code(tmp_path):
     assert missing.exit_code == 2
 
 
+@pytest.mark.parametrize("command", ["match", "bottleneck", "wedge"])
+def test_a_load_error_names_its_file(tmp_path, command):
+    broken, invalid = tmp_path / "broken.fcw", tmp_path / "invalid.fcw"
+    broken.write_text('{"format": "fcw/1", "cells": [{')
+    invalid.write_text((FIXTURES / "torus.fcw").read_text().replace('"weight": "-inf"', '"weight": "1"'))
+    for bad, code, message in ((broken, 2, "ParseError: {}: invalid JSON"), (invalid, 1, "ValidationError: {}: BadBasepoint")):
+        for argv in ([command, str(bad), TORUS], [command, TORUS, str(bad)]):
+            result = run(argv)
+            assert (result.exit_code, result.payload) == (code, "")
+            assert result.error.startswith(message.format(bad)) and TORUS not in result.error
+    assert run(["validate", str(broken)]).error.startswith(f"ParseError: {broken}: invalid JSON")
+
+
 def test_usage_error_exit_code():
     assert run(["no-such-command"]).exit_code == 2
     assert run([]).exit_code == 2

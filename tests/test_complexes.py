@@ -15,16 +15,23 @@ from fcw import (
     FilteredComplex,
     NEG_INF,
     ValidationError,
+    canonical_linearization,
     euler_polynomial,
     format_extended,
+    invariant_report,
+    k_class,
+    matching_number,
     parse_document,
     point,
     product,
     serialize_complex,
+    size_polynomial,
     smash,
     sphere,
     wedge,
+    weighted_euler_char,
 )
+from fcw.invariants import euler_curve
 
 F = Fraction
 
@@ -287,6 +294,22 @@ def test_reweighting_and_sublevels_match_their_per_cell_definitions():
     assert eternal_cells > 0
 
 
+def test_reweighting_keeps_a_complex_valid():
+    rng = random.Random(29)
+    eternal_cells = 0
+    for _ in range(40):
+        x = random_complex(rng, eternal_prob=0.3)
+        eternal_cells += sum(c.eternal and c.id != x.basepoint for c in x.cells)
+        points = x.spectrum()
+        # below, on, between and above the spectral points
+        floors = [F(-5), *points, *((a + b) / 2 for a, b in zip(points, points[1:])), F(10)]
+        results = [x.shift(a) for a in (F(0), F(3, 7), F(-5, 2))] + [x.cutoff(f) for f in floors]
+        for result in results:
+            # validate() itself, not require_valid(): the carried-over flag is what is on trial
+            assert FilteredComplex.validate(result) == []
+    assert eternal_cells > 0
+
+
 # -- wedge -------------------------------------------------------------------------
 
 
@@ -363,6 +386,15 @@ def test_naive_product_is_levelwise():
         p = product(x, y)
         for level in [NEG_INF] + p.spectrum():
             assert p.sublevel(level) == product(x.sublevel(level), y.sublevel(level))
+
+
+def test_cell_id_must_be_a_string():
+    with pytest.raises(TypeError, match="cell id must be a str, got 5"):
+        Cell(5, 0, F(1))
+    with pytest.raises(TypeError, match="cell id must be a str, got 5"):
+        sphere(1, 1).rename({"c1": 5})
+    with pytest.raises(TypeError, match="cell id must be a str, got None"):
+        sphere(1, 1).rename({"pt": None})
 
 
 def test_cell_dimension_must_be_an_integer():
@@ -542,13 +574,26 @@ def test_constructions_reject_an_invalid_operand(construction, cells):
 INVALID_COMPLEXES = {
     "unknown-boundary-id": [Cell("pt", 0, NEG_INF), Cell("e", 1, 1, ["ghost"])],
     **INVALID_OPERANDS,
+    "missing-basepoint": [Cell("q", 0, NEG_INF), Cell("e", 1, 1)],
+    "finite-basepoint": [Cell("pt", 0, 1), Cell("e", 1, 2)],
 }
+# every function that computes from a complex, beside barcode and the constructions
 VIEWS = {
     "sublevel": lambda x: x.sublevel(1),
     "suspend": lambda x: x.suspend(),
     "rename": lambda x: x.rename({}),
     "shift": lambda x: x.shift(1),
     "cutoff": lambda x: x.cutoff(0),
+    "euler_char_sublevel": lambda x: x.euler_char_sublevel(1),
+    "size_polynomial": size_polynomial,
+    "euler_polynomial": euler_polynomial,
+    "euler_curve": euler_curve,
+    "invariant_report": invariant_report,
+    "weighted_euler_char": weighted_euler_char,
+    "k_class": k_class,
+    "matching_number-left": lambda x: matching_number(x, point()),
+    "matching_number-right": lambda x: matching_number(point(), x),
+    "canonical_linearization": canonical_linearization,
 }
 
 
@@ -560,6 +605,32 @@ def test_views_reject_an_invalid_complex(view, cells):
     with pytest.raises(ValidationError) as info:
         view(x)
     assert info.value.violations == x.validate()
+
+
+@pytest.mark.parametrize("cells", INVALID_COMPLEXES.values(), ids=INVALID_COMPLEXES)
+def test_accessors_read_an_invalid_complex(cells):
+    x = FilteredComplex(cells, "pt")
+    with pytest.raises(ValidationError) as info:
+        x.require_valid()
+    assert info.value.violations == x.validate() != []
+    assert parse_document(serialize_complex(x)) == x
+    assert x.ids() == tuple(c.id for c in x.cells) and len(x) == len(cells)
+    assert all(x.cell(c.id) == c and c.id in x for c in cells)
+    assert x.basepoint == "pt" and x.spectrum() == sorted({c.weight for c in cells} - {NEG_INF})
+    assert list(x.ranks()) == list(x.ids())
+    assert x == FilteredComplex(cells, "pt") and hash(x) == hash(FilteredComplex(cells, "pt"))
+    assert repr(x) == f"FilteredComplex({len(cells)} cells, basepoint='pt')"
+
+
+@pytest.mark.parametrize(
+    "mapping, kind",
+    [({"e": "b c"}, "BadCellId"), ({"e": ""}, "BadCellId"), ({"e": "pt"}, "DuplicateCellId")],
+)
+def test_rename_rejects_a_name_that_makes_an_invalid_complex(mapping, kind):
+    x = sphere(1, 1).rename({"c1": "e"})
+    with pytest.raises(ValidationError) as info:
+        x.rename(mapping)
+    assert [v.kind for v in info.value.violations] == [kind]
 
 
 def test_two_sphere_two_peaks_fixture_is_valid():

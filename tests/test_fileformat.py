@@ -173,7 +173,7 @@ def test_non_string_weights_are_parse_errors_naming_the_cell(tmp_path, weight):
     path.write_text(doc)
     result = run(["euler", str(path)])
     assert result.exit_code == 2
-    assert result.error.startswith("ParseError: cell #3:")
+    assert result.error.startswith(f"ParseError: {path}: cell #3:")
 
 
 def test_cells_sharing_a_weight_string_get_equal_weights():
