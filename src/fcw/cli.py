@@ -29,19 +29,15 @@ class CommandResult(Record):
     __slots__ = ("exit_code", "payload", "error")
 
 
-def _read(path: str) -> str:
+def _parsed(path: str, parse):
+    """parse() of the file's text, the CLI's one reader; any ParseError or ValidationError names the file."""
     try:
         with open(path, encoding="utf-8") as handle:
-            return handle.read()
+            text = handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"cannot read {path}: not UTF-8 text ({exc})") from exc
-
-
-def _parsed(path: str, parse):
-    """parse() of the file's text; a ParseError or ValidationError names the file."""
-    text = _read(path)
     try:
         return parse(text)
     except (ParseError, ValidationError) as exc:
@@ -207,19 +203,21 @@ def _cmd_sphere(ns) -> str:
 def _cmd_morse_build(ns) -> str:
     from . import morse
 
-    datum = morse.parse_morse_datum(_read(ns.file))
-    boundaries = None
-    if ns.boundaries is not None:
-        boundaries = fileformat.load_json(_read(ns.boundaries), "boundaries JSON")
-        if not isinstance(boundaries, dict):
-            raise ParseError("boundaries file must be a JSON object")
-    return fileformat.serialize_complex(morse.morse_complex(datum, boundaries))
+    def attached(text: str) -> FilteredComplex:  # the build checks the chains, so it runs in the loader
+        boundaries = fileformat.load_json(text)
+        if boundaries is None:  # a JSON null, which morse_complex reads as no boundaries
+            raise ParseError("boundaries must be a JSON object, got null")
+        return morse.morse_complex(datum, boundaries)
+
+    datum = _parsed(ns.file, morse.parse_morse_datum)
+    built = morse.morse_complex(datum) if ns.boundaries is None else _parsed(ns.boundaries, attached)
+    return fileformat.serialize_complex(built)
 
 
 def _cmd_morse_bounds(ns) -> str:
     from . import morse
 
-    datum = morse.parse_morse_datum(_read(ns.file))
+    datum = _parsed(ns.file, morse.parse_morse_datum)
     return (
         f"spheres: {_exact(morse.bound_size_spheres(datum))}\n"
         f"wedges: {_exact(morse.bound_size_wedges(datum))}\n"

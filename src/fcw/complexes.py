@@ -328,6 +328,8 @@ class FilteredComplex:
 
 def point(basepoint_id: str = "pt") -> FilteredComplex:
     """The one-point complex."""
+    if not isinstance(basepoint_id, str):
+        raise TypeError(f"cell id must be a str, got {basepoint_id!r}")
     return FilteredComplex._build([basepoint_id], [0], [NEG_INF], [()], basepoint_id)
 
 

@@ -35,19 +35,19 @@ def parse_weight(text: str):
     return value
 
 
-def load_json(text: str, what: str):
+def load_json(text: str):
     """json.loads, with malformed, too deeply nested or overlong-integer text as ParseError."""
     try:
         return json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
-        raise ParseError(f"invalid {what}: {exc}") from exc
+        raise ParseError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
-        raise ParseError(f"invalid {what}: nested too deeply") from exc
+        raise ParseError("invalid JSON: nested too deeply") from exc
 
 
 def parse_document(text: str) -> FilteredComplex:
-    """Structural parse only; the result may still fail validate()."""
-    doc = load_json(text, "JSON")
+    """Structural parse only, so the result may fail validate(); a cell's ParseError starts `cell #N: `."""
+    doc = load_json(text)
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")
     if set(doc) != _DOCUMENT_KEYS:
@@ -61,34 +61,34 @@ def parse_document(text: str) -> FilteredComplex:
     weights = {}  # weight string -> parsed value: each distinct string is parsed once
     ids, dims, values, boundaries = [], [], [], []
     # json.loads makes plain dicts and ints: `type(v) is int` tells an int from a bool
-    for position, record in enumerate(doc["cells"]):
-        if type(record) is not dict:
-            raise ParseError(f"cell #{position}: must be a JSON object")
-        if record.keys() != _CELL_KEYS:
-            raise ParseError(f"cell #{position}: keys must be exactly {sorted(_CELL_KEYS)}")
-        cell_id, dim, text, chain = record["id"], record["dim"], record["weight"], record["boundary"]
-        if type(cell_id) is not str or not cell_id:
-            raise ParseError(f"cell #{position}: id must be a nonempty string")
-        if type(dim) is not int:
-            raise ParseError(f"cell #{position}: dim must be an integer")
-        if type(chain) is not dict:
-            raise ParseError(f"cell #{position}: boundary must be an object")
-        refs = []
-        for ref, coeff in chain.items():
-            if type(coeff) is not int:
-                raise ParseError(f"cell #{position}: boundary coefficient for {ref!r} must be an integer")
-            if coeff % 2:
-                refs.append(ref)
-        weight = weights.get(text) if type(text) is str else None
-        if weight is None:
-            try:
+    try:
+        for position, record in enumerate(doc["cells"]):
+            if type(record) is not dict:
+                raise ParseError("must be a JSON object")
+            if record.keys() != _CELL_KEYS:
+                raise ParseError(f"keys must be exactly {sorted(_CELL_KEYS)}")
+            cell_id, dim, text, chain = record["id"], record["dim"], record["weight"], record["boundary"]
+            if type(cell_id) is not str or not cell_id:
+                raise ParseError("id must be a nonempty string")
+            if type(dim) is not int:
+                raise ParseError("dim must be an integer")
+            if type(chain) is not dict:
+                raise ParseError("boundary must be an object")
+            refs = []
+            for ref, coeff in chain.items():
+                if type(coeff) is not int:
+                    raise ParseError(f"boundary coefficient for {ref!r} must be an integer")
+                if coeff % 2:
+                    refs.append(ref)
+            weight = weights.get(text) if type(text) is str else None
+            if weight is None:
                 weight = weights[text] = parse_weight(text)  # a non-string raises
-            except ParseError as exc:
-                raise ParseError(f"cell #{position}: {exc}") from exc
-        ids.append(cell_id)
-        dims.append(dim)
-        values.append(weight)
-        boundaries.append(refs)
+            ids.append(cell_id)
+            dims.append(dim)
+            values.append(weight)
+            boundaries.append(refs)
+    except ParseError as exc:
+        raise ParseError(f"cell #{position}: {exc}") from exc
     return FilteredComplex._build(ids, dims, values, boundaries, doc["basepoint"])
 
 

@@ -78,6 +78,8 @@ def matching_number(x: FilteredComplex, y: FilteredComplex) -> int:
 
 def k_class(x: FilteredComplex, n: int = 0) -> Polynomial:
     """Image of the degree-n stable class of x in the exponent ring."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise TypeError(f"degree must be an int, got {n!r}")
     sign = -1 if n % 2 else 1
     return euler_polynomial(x).scale(sign)
 

@@ -52,26 +52,22 @@ class MorseDatum(Record):
 
 
 def parse_morse_datum(text: str) -> MorseDatum:
-    """One `value<TAB>index` pair per line; blank lines and # comments skipped."""
+    """One `value<TAB>index` pair a line, # comments and blank lines skipped; a line's error starts `line N: `."""
     points = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise ParseError(f"line {lineno}: expected `value<TAB>index`, got {raw!r}")
-        try:
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            fields = line.split()
+            if len(fields) != 2:
+                raise ValueError(f"expected `value<TAB>index`, got {raw!r}")
             value = parse_rational(fields[0])
             if not (fields[1].isascii() and fields[1].isdigit()):
                 raise ValueError(f"Morse index must be ASCII decimal digits, got {fields[1]!r}")
-            index = int(fields[1])
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from exc
-        try:
-            points.append(CriticalPoint(value, index))
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from exc
+            points.append(CriticalPoint(value, int(fields[1])))
+    except ValueError as exc:
+        raise ParseError(f"line {lineno}: {exc}") from exc
     try:
         return MorseDatum(points)
     except ValueError as exc:
@@ -84,13 +80,13 @@ def morse_complex(datum: MorseDatum, boundaries=None) -> FilteredComplex:
     Cells are named c1, c2, ... in (value, index) order; `boundaries`
     optionally maps a cell id to the ids its attaching sphere runs over
     (a list of ids, or a map id -> integer coefficient reduced mod 2); any
-    other chain raises ParseError naming the cell.
+    other `boundaries` or chain raises ParseError, naming the chain's cell.
     """
     ordered = datum.sorted_points()
     base_index = next(i for i, p in enumerate(ordered) if p.index == 0)
     points = ordered[:base_index] + ordered[base_index + 1 :]
     names = [f"c{k}" for k in range(1, len(points) + 1)]
-    attach = _normalise_boundaries(boundaries)
+    attach = _normalise_boundaries({} if boundaries is None else boundaries)
     bounds = [attach.pop(name, ()) for name in names]
     if attach:
         raise InvalidBoundaries(f"boundaries given for unknown cells: {sorted(attach)}")
@@ -108,8 +104,8 @@ def morse_complex(datum: MorseDatum, boundaries=None) -> FilteredComplex:
 
 
 def _normalise_boundaries(boundaries) -> dict[str, frozenset]:
-    if boundaries is None:
-        return {}
+    if not isinstance(boundaries, dict):
+        raise ParseError(f"boundaries must be a JSON object, got {type(boundaries).__name__}")
     out = {}
     for cell_id, chain in boundaries.items():
         if isinstance(chain, list) and all(isinstance(ref, str) for ref in chain):

@@ -223,17 +223,42 @@ def test_parse_error_exit_code(tmp_path):
     assert missing.exit_code == 2
 
 
-@pytest.mark.parametrize("command", ["match", "bottleneck", "wedge"])
-def test_a_load_error_names_its_file(tmp_path, command):
+def _load_errors(tmp_path, command):
+    """(argv, the file at fault, exit code, message) for each bad input file
+    of `command`; `{}` in the message stands for that file's path."""
+    if command.startswith("morse-"):
+        datum, broken = tmp_path / "ok.morse", tmp_path / "broken.morse"
+        datum.write_text("0\t0\n1\t1\n")
+        broken.write_text("0\t0\n1\tx\n")
+        cases = [([command, str(broken)], broken, 2, "ParseError: {}: line 2: Morse index")]
+        if command == "morse-build":
+            for name, text, message in (
+                ("truncated.json", '{"c1": ', "invalid JSON"),
+                ("list.json", '["c1"]', "boundaries must be a JSON object, got list"),
+                ("null.json", "null", "boundaries must be a JSON object, got null"),
+                ("chain.json", '{"c1": 5}', "boundary of cell c1"),
+            ):
+                attach = tmp_path / name
+                attach.write_text(text)
+                cases.append(([command, str(datum), "--boundaries", str(attach)], attach, 2, "ParseError: {}: " + message))
+        return cases
     broken, invalid = tmp_path / "broken.fcw", tmp_path / "invalid.fcw"
     broken.write_text('{"format": "fcw/1", "cells": [{')
     invalid.write_text((FIXTURES / "torus.fcw").read_text().replace('"weight": "-inf"', '"weight": "1"'))
+    cases = [(["validate", str(broken)], broken, 2, "ParseError: {}: invalid JSON")]
     for bad, code, message in ((broken, 2, "ParseError: {}: invalid JSON"), (invalid, 1, "ValidationError: {}: BadBasepoint")):
-        for argv in ([command, str(bad), TORUS], [command, TORUS, str(bad)]):
-            result = run(argv)
-            assert (result.exit_code, result.payload) == (code, "")
-            assert result.error.startswith(message.format(bad)) and TORUS not in result.error
-    assert run(["validate", str(broken)]).error.startswith(f"ParseError: {broken}: invalid JSON")
+        cases += [([command, *pair], bad, code, message) for pair in ((str(bad), TORUS), (TORUS, str(bad)))]
+    return cases
+
+
+@pytest.mark.parametrize("command", ["match", "bottleneck", "wedge", "morse-bounds", "morse-build"])
+def test_a_load_error_names_its_file(tmp_path, command):
+    for argv, bad, code, message in _load_errors(tmp_path, command):
+        result = run(argv)
+        assert (result.exit_code, result.payload) == (code, ""), argv
+        assert result.error.startswith(message.format(bad)), result.error
+        others = set(argv[1:]) - {str(bad), "--boundaries"}
+        assert not any(other in result.error for other in others), result.error
 
 
 def test_usage_error_exit_code():

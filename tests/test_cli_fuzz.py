@@ -84,8 +84,8 @@ def test_mutated_documents_never_crash_the_cli(document_path, text, command):
     assert result.exit_code in (0, 1, 2)
     try:
         x = parse_document(text)
-    except ParseError:
-        assert result.exit_code == 2
+    except ParseError as exc:  # the CLI names the file before the library's message
+        assert (result.exit_code, result.error) == (2, f"ParseError: {document_path}: {exc}")
         return
     except ValidationError:  # a duplicate id
         assert result.exit_code == 1
@@ -188,18 +188,21 @@ def morse_dir(tmp_path_factory):
 @given(inputs=morse_inputs(), command=st.sampled_from(["morse-bounds", "morse-build"]))
 def test_mutated_morse_files_never_crash_the_cli(morse_dir, inputs, command):
     datum_bytes, boundary_bytes = inputs
-    datum_path = morse_dir / "data.morse"
+    datum_path, boundary_path = morse_dir / "data.morse", morse_dir / "attach.json"
     datum_path.write_bytes(datum_bytes)
     argv = [command, str(datum_path)]
     attached = command == "morse-build" and boundary_bytes is not None
     if attached:
-        (morse_dir / "attach.json").write_bytes(boundary_bytes)
-        argv += ["--boundaries", str(morse_dir / "attach.json")]
+        boundary_path.write_bytes(boundary_bytes)
+        argv += ["--boundaries", str(boundary_path)]
     result = run(argv)
     assert result.exit_code in (0, 1, 2)
 
     text = _decoded(datum_bytes)
     boundaries = _boundaries_object(boundary_bytes) if attached else None
+    if result.exit_code == 2:  # the error names the file at fault; the datum is read first
+        datum_fails = text is None or _exit_code(lambda: parse_morse_datum(text)) == 2
+        assert str(datum_path if datum_fails else boundary_path) in result.error, result.error
     if text is None or (attached and boundaries is None):
         assert result.exit_code == 2 and result.error.startswith("ParseError:")
         return

@@ -395,6 +395,8 @@ def test_cell_id_must_be_a_string():
         sphere(1, 1).rename({"c1": 5})
     with pytest.raises(TypeError, match="cell id must be a str, got None"):
         sphere(1, 1).rename({"pt": None})
+    with pytest.raises(TypeError, match="cell id must be a str, got 5"):
+        point(5)
 
 
 def test_cell_dimension_must_be_an_integer():

@@ -126,6 +126,12 @@ def test_k_class_of_torus():
     assert k_class(torus(1, 2, 4), 0) == euler_polynomial(torus(1, 2, 4))
 
 
+@pytest.mark.parametrize("n", [1.5, True, "a", None])
+def test_k_class_degree_must_be_an_int(n):
+    with pytest.raises(TypeError, match=r"^degree must be an int, got "):
+        k_class(torus(1, 2, 4), n)
+
+
 def test_k_class_ring_and_module_laws():
     rng = random.Random(53)
     for _ in range(25):

@@ -87,6 +87,12 @@ def test_invalid_boundaries_rejected():
         morse_complex(datum((0, 0), (1, 2)), boundaries={"nope": ["c1"]})
 
 
+@pytest.mark.parametrize("boundaries", [["c1"], "x", 5])
+def test_boundaries_that_are_not_a_mapping_are_a_parse_error(boundaries):
+    with pytest.raises(ParseError, match=r"^boundaries must be a JSON object, got "):
+        morse_complex(datum((0, 0), (1, 2)), boundaries)
+
+
 def test_morse_index_must_be_an_integer():
     for index in (1.5, 2.0, True, F(1)):
         with pytest.raises(TypeError):
@@ -118,7 +124,7 @@ def test_morse_index_is_ascii_decimal_digits(tmp_path, index):
     path = tmp_path / "points.morse"
     path.write_text(text, encoding="utf-8")
     result = run(["morse-build", str(path)])
-    assert result.exit_code == 2 and result.error.startswith("ParseError: line 2: ")
+    assert result.exit_code == 2 and result.error.startswith(f"ParseError: {path}: line 2: ")
 
 
 def test_sphere_bound_examples():
