@@ -3,12 +3,15 @@
 Every command is a pure function of its input files and flags and emits
 canonical text: complexes as `fcw/1` documents, polynomials in the
 `coeff*t^exp` rendering, barcodes as TSV, scalars as lowest-terms
-rationals.  Exit codes: 0 success, 1 domain error, 2 usage or parse error.
+rationals.  Exit codes: 0 success, 1 domain error or failed output write,
+2 usage or parse error.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import os
 import sys
 from collections import Counter
 from decimal import Decimal  # loaded by fractions already: no start-up cost
@@ -339,5 +342,26 @@ def main(argv=None) -> int:
     return result.exit_code
 
 
+def console():
+    """The `fcw` process: main() with the cyclic collector off, its output
+    flushed, then os._exit, which skips the interpreter's teardown and so
+    every atexit handler.  An OSError from writing or flushing the output
+    is exit 1 with one line on stderr.  Callers inside a live interpreter
+    use main() or run(), which leave the collector and the exit alone."""
+    gc.disable()  # a collection walks every live object, the parsed JSON tree included, and frees little
+    try:
+        code = main()
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError as exc:
+        code = 1
+        try:
+            sys.stderr.write(f"OSError: cannot write output: {exc}\n")
+            sys.stderr.flush()
+        except OSError:
+            pass  # stderr is what failed: the exit code alone reports it
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console()

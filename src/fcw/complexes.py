@@ -81,7 +81,8 @@ class FilteredComplex:
     distinct finite weights, then ``-inf`` for rank -1.  A boundary id naming
     no cell gets position ``len(self) + k``, ``k`` indexing the sorted
     ``_unknown`` ids, so validate() can name it.  Validity and ``Cell``
-    records are made on first use; shift and cutoff carry validity over.
+    records are made on first use; the views and constructions, whose
+    operands pass require_valid(), mark their result valid by construction.
     The other modules of fcw read the tuples.
     """
 
@@ -96,11 +97,13 @@ class FilteredComplex:
         self._fill(ids, dims, weights, [c.boundary for c in cells], basepoint)
 
     @classmethod
-    def _build(cls, ids, dims, weights, boundaries, basepoint) -> FilteredComplex:
+    def _build(cls, ids, dims, weights, boundaries, basepoint, valid=None) -> FilteredComplex:
         """A complex from parallel lists in any order, each boundary given as
-        its cells' distinct ids: the constructor behind every complex."""
+        its cells' distinct ids: the constructor behind every complex.
+        `valid=True` is for a result that is valid by construction."""
         x = cls.__new__(cls)
         x._fill(ids, dims, weights, boundaries, basepoint)
+        x._valid = valid
         return x
 
     def _lists(self, names, keep, dims, drop=None) -> tuple[list, list, list, list]:
@@ -264,7 +267,8 @@ class FilteredComplex:
         """The subcomplex of cells with weight <= level; weights retained."""
         top = bisect_right(self._levels, _as_weight(level), 0, len(self._levels) - 1)  # ranks below weigh <= level
         kept = [i for i, r in enumerate(self.require_valid()._rank) if r < top]  # the basepoint weighs -inf
-        return FilteredComplex._build(*self._lists(self._ids, kept, self._dims), self._basepoint)
+        # a kept cell's boundary cells weigh no more than it, so they are kept too
+        return FilteredComplex._build(*self._lists(self._ids, kept, self._dims), self._basepoint, valid=True)
 
     def spectrum(self) -> list[Fraction]:
         """Sorted distinct finite weights among the cells."""
@@ -307,8 +311,9 @@ class FilteredComplex:
         at = self.require_valid()._index[self._basepoint]
         dims = [d + 1 for d in self._dims]
         dims[at] = 0
-        # the basepoint's own boundary is empty; the other cells drop it from theirs
-        return FilteredComplex._build(*self._lists(self._ids, range(len(self)), dims, at), self._basepoint)
+        # the basepoint's own boundary is empty; the other cells drop it from theirs,
+        # which keeps each boundary one dimension down and the parity of ∂∂
+        return FilteredComplex._build(*self._lists(self._ids, range(len(self)), dims, at), self._basepoint, valid=True)
 
     # -- renaming -----------------------------------------------------------
 
@@ -344,6 +349,10 @@ def sphere(k: int, level) -> FilteredComplex:
 
 # -- binary constructions: each operand passes require_valid() first ----------
 
+# Each result is valid by construction, so it is built marked valid: prefixed
+# and pair ids keep the id grammar, and the product's mod-2 boundary, and its
+# quotient by the wedge in the smash, square to zero and keep weights monotone.
+
 
 def wedge(x: FilteredComplex, y: FilteredComplex) -> FilteredComplex:
     """One-point union: operand cells prefixed `l.` / `r.`, basepoints merged."""
@@ -355,7 +364,7 @@ def wedge(x: FilteredComplex, y: FilteredComplex) -> FilteredComplex:
         keep = [*range(bp), *range(bp + 1, len(operand))]
         for out, part in zip(lists, operand._lists(names, keep, operand._dims)):
             out += part
-    return FilteredComplex._build(*lists, "pt")
+    return FilteredComplex._build(*lists, "pt", valid=True)
 
 
 def _pair_weight(wa, wb, filtered: bool):
@@ -415,11 +424,11 @@ def product(x: FilteredComplex, y: FilteredComplex, filtered: bool = False) -> F
     """Cellwise product; weights take the max (naive) or the sum (filtered)."""
     ids, dims, weights, boundaries = _pair_cells(x.require_valid(), y.require_valid(), None, None, filtered)
     basepoint = ids[x._index[x.basepoint] * len(y) + y._index[y.basepoint]]
-    return FilteredComplex._build(ids, dims, weights, boundaries, basepoint)
+    return FilteredComplex._build(ids, dims, weights, boundaries, basepoint, valid=True)
 
 
 def smash(x: FilteredComplex, y: FilteredComplex, filtered: bool = False) -> FilteredComplex:
     """Product with the wedge collapsed: only pairs of non-basepoint cells survive."""
     skip_x, skip_y = x.require_valid()._index[x.basepoint], y.require_valid()._index[y.basepoint]
     ids, dims, weights, boundaries = _pair_cells(x, y, skip_x, skip_y, filtered)
-    return FilteredComplex._build(["pt", *ids], [0, *dims], [NEG_INF, *weights], [(), *boundaries], "pt")
+    return FilteredComplex._build(["pt", *ids], [0, *dims], [NEG_INF, *weights], [(), *boundaries], "pt", valid=True)

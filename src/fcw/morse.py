@@ -108,9 +108,11 @@ def _normalise_boundaries(boundaries) -> dict[str, frozenset]:
         raise ParseError(f"boundaries must be a JSON object, got {type(boundaries).__name__}")
     out = {}
     for cell_id, chain in boundaries.items():
+        if not isinstance(cell_id, str):
+            raise ParseError(f"boundaries: cell id must be a string, got {cell_id!r}")
         if isinstance(chain, list) and all(isinstance(ref, str) for ref in chain):
             out[cell_id] = frozenset(chain)
-        elif isinstance(chain, dict) and all(type(v) is int for v in chain.values()):
+        elif isinstance(chain, dict) and all(isinstance(k, str) and type(v) is int for k, v in chain.items()):
             out[cell_id] = frozenset(k for k, v in chain.items() if v % 2)
         else:
             raise ParseError(

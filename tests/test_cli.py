@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import os
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from fcw import (
     serialize_complex,
     sphere,
 )
-from fcw.cli import build_parser, run
+from fcw.cli import build_parser, main, run
 
 F = Fraction
 
@@ -295,12 +296,22 @@ def test_exponent_notation_is_a_parse_error(tmp_path):
     assert run(["morse-build", str(datum)]).exit_code == 2
 
 
+def _child_env(unbuffered=False) -> dict:
+    """The environment of an fcw child process: this checkout's `src` first
+    on the path, and stdout block-buffered unless `unbuffered`."""
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
 def test_cli_import_loads_no_numeric_dependencies(tmp_path):
     """A fresh `fcw` process loads only the layers its subcommand runs."""
     datum = tmp_path / "heights.morse"
     datum.write_text("0\t0\n1\t2\n")
-    src = str(Path(__file__).parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _child_env()
     never = ["numpy", "numba", "dataclasses", "inspect"]
     for argv, unloaded in (
         (None, never + ["fcw.morse", "fcw.persistence", "fcw._kernels", "fcw.invariants", "fcw.polynomial"]),
@@ -416,3 +427,50 @@ def test_a_bad_flag_value_names_the_flag(argv):
 def test_repeated_runs_are_byte_identical():
     for args in (["euler", TORUS], ["barcode", S2HP], ["product", TORUS, S2HP, "--filtered"]):
         assert payload(*args) == payload(*args)
+
+
+# -- the process entry ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["barcode", S2HP], ["match", TORUS, S2H], ["euler", "no-such-file.fcw"], ["--help"]],
+    ids=["barcode", "domain-error", "parse-error", "help"],
+)
+def test_the_process_prints_what_run_returns(capsys, monkeypatch, argv):
+    # buffered stdout and a small output: without the flush before the exit it would be lost
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal's width
+    result = run(argv)
+    printed = capsys.readouterr()  # argparse prints help itself
+    proc = subprocess.run(
+        [sys.executable, "-m", "fcw.cli", *argv], env=_child_env(), capture_output=True, text=True
+    )
+    assert proc.returncode == result.exit_code
+    assert proc.stdout == printed.out + result.payload
+    assert proc.stderr == printed.err + (result.error + "\n" if result.error else "")
+    assert proc.stdout or proc.stderr
+
+
+def test_main_leaves_the_collector_as_it_found_it(capsys):
+    enabled = gc.isenabled()
+    try:
+        for state in (False, True):
+            (gc.enable if state else gc.disable)()
+            assert main(["barcode", S2HP]) == 0
+            assert gc.isenabled() is state
+    finally:
+        (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_failed_output_write_is_exit_1_with_one_line(unbuffered):
+    # buffered, the write fails at the flush; unbuffered, at the write itself
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fcw.cli", "sphere", "-k", "1", "-l", "0"],
+            env=_child_env(unbuffered), stdout=full, stderr=subprocess.PIPE, text=True,
+        )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("OSError: cannot write output: ")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")

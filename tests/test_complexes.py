@@ -310,6 +310,24 @@ def test_reweighting_keeps_a_complex_valid():
     assert eternal_cells > 0
 
 
+def test_views_and_constructions_keep_a_complex_valid():
+    rng = random.Random(31)
+    collisions = 0
+    for _ in range(30):
+        # ids with the separators of pair ids, so the product's collision guard runs too
+        x = random_complex(rng, max_cells=8, eternal_prob=0.3).rename({"c1": "c2*r.c3"})
+        y = random_complex(rng, max_cells=8, eternal_prob=0.3).rename({"c3": "c3*r.c1"})
+        results = [x.sublevel(r) for r in (NEG_INF, *x.spectrum(), F(10))]
+        results += [x.suspend(), x.suspend().suspend(), wedge(x, y), wedge(x.suspend(), y.sublevel(F(1)))]
+        results += [build(x, y, filtered) for build in (product, smash) for filtered in (False, True)]
+        collisions += any(cell_id.endswith("*2") for cell_id in results[-1].ids())
+        for result in results:
+            assert result._valid  # built marked valid, so require_valid() skips the check
+            # validate() itself, not require_valid(): the flag set by construction is what is on trial
+            assert FilteredComplex.validate(result) == []
+    assert collisions > 0
+
+
 # -- wedge -------------------------------------------------------------------------
 
 

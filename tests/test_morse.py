@@ -93,6 +93,20 @@ def test_boundaries_that_are_not_a_mapping_are_a_parse_error(boundaries):
         morse_complex(datum((0, 0), (1, 2)), boundaries)
 
 
+@pytest.mark.parametrize(
+    "boundaries, message",
+    [
+        ({5: [], "x": []}, "boundaries: cell id must be a string, got 5"),  # once a bare TypeError from sorted()
+        ({None: []}, "boundaries: cell id must be a string, got None"),
+        ({"c1": {5: 1, "x": 1}}, "boundary of cell c1 must be a list of cell ids or an object of integer coefficients"),
+    ],
+)
+def test_a_cell_id_that_is_not_a_string_is_a_parse_error(boundaries, message):
+    with pytest.raises(ParseError) as caught:
+        morse_complex(datum((0, 0), (1, 2)), boundaries)
+    assert str(caught.value) == message
+
+
 def test_morse_index_must_be_an_integer():
     for index in (1.5, 2.0, True, F(1)):
         with pytest.raises(TypeError):
