@@ -25,6 +25,7 @@ _EXPORTS = {
         "ParseError",
         "UnsupportedCell",
         "ValidationError",
+        "WeightTooLong",
     ),
     "fileformat": ("parse_complex", "parse_document", "parse_weight", "serialize_complex"),
     "invariants": (

@@ -14,7 +14,6 @@ import gc
 import os
 import sys
 from collections import Counter
-from decimal import Decimal  # loaded by fractions already: no start-up cost
 
 # Each handler imports the layers beyond these when it runs, so a process
 # loads only what its subcommand needs.  product, smash and wedge stay
@@ -63,13 +62,6 @@ def _weight(text: str, flag: str, finite: bool = True):
     return value
 
 
-def _exact(value) -> str:
-    """An int or Fraction in lowest terms.  A sum over many cells can pass the
-    4300 digits str() converts; Decimal converts an int of any length."""
-    text = str(Decimal(value.numerator))
-    return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
-
-
 # -- handlers -----------------------------------------------------------------
 
 
@@ -94,12 +86,12 @@ def _cmd_info(ns) -> str:
     lines = [
         f"cells: {len(x)}",
         f"eternal-cells: {eternal}",
-        "spectrum:" + "".join(f" {v}" for v in spectrum),
-        f"min-finite-weight: {spectrum[0] if spectrum else 'none'}",
-        f"max-finite-weight: {spectrum[-1] if spectrum else 'none'}",
-        f"cell-count: {_exact(report.cell_count)}",
-        f"weighted-size: {_exact(report.weighted_size)}",
-        f"weighted-euler: {_exact(report.weighted_euler)}",
+        "spectrum:" + "".join(f" {format_extended(v)}" for v in spectrum),
+        f"min-finite-weight: {format_extended(spectrum[0]) if spectrum else 'none'}",
+        f"max-finite-weight: {format_extended(spectrum[-1]) if spectrum else 'none'}",
+        f"cell-count: {format_extended(report.cell_count)}",
+        f"weighted-size: {format_extended(report.weighted_size)}",
+        f"weighted-euler: {format_extended(report.weighted_euler)}",
     ]
     lines.extend(f"dim {d}: {counts[d]}" for d in sorted(counts))
     return "".join(f"{line}\n" for line in lines)
@@ -114,7 +106,7 @@ def _cmd_euler(ns) -> str:
     if ns.derivative:
         poly = poly.derivative()
     if ns.at_one:
-        return _exact(poly.at_one()) + "\n"
+        return format_extended(poly.at_one()) + "\n"
     return poly.render() + "\n"
 
 
@@ -127,13 +119,13 @@ def _cmd_size(ns) -> str:
 def _cmd_weighted_euler(ns) -> str:
     from . import invariants
 
-    return _exact(invariants.weighted_euler_char(_load(ns.file))) + "\n"
+    return format_extended(invariants.weighted_euler_char(_load(ns.file))) + "\n"
 
 
 def _cmd_match(ns) -> str:
     from . import invariants
 
-    return _exact(invariants.matching_number(_load(ns.left), _load(ns.right))) + "\n"
+    return format_extended(invariants.matching_number(_load(ns.left), _load(ns.right))) + "\n"
 
 
 def _cmd_kclass(ns) -> str:
@@ -222,8 +214,8 @@ def _cmd_morse_bounds(ns) -> str:
 
     datum = _parsed(ns.file, morse.parse_morse_datum)
     return (
-        f"spheres: {_exact(morse.bound_size_spheres(datum))}\n"
-        f"wedges: {_exact(morse.bound_size_wedges(datum))}\n"
+        f"spheres: {format_extended(morse.bound_size_spheres(datum))}\n"
+        f"wedges: {format_extended(morse.bound_size_wedges(datum))}\n"
     )
 
 
@@ -235,8 +227,8 @@ def _cmd_linearize(ns) -> str:
     chi = morse.euler_poly_rel(lin)
     return (
         f"lambda: {stats.poly.render()}\n"
-        f"count: {_exact(stats.count)}\n"
-        f"weight: {_exact(stats.weight)}\n"
+        f"count: {format_extended(stats.count)}\n"
+        f"weight: {format_extended(stats.weight)}\n"
         f"euler: {chi.render()}\n"
     )
 

@@ -19,6 +19,10 @@ class ValidationError(FCWError):
         super().__init__("; ".join(str(v) for v in self.violations))
 
 
+class WeightTooLong(FCWError):
+    """A weight longer than a document may hold cannot be written."""
+
+
 class NonIntegerCoefficient(FCWError):
     """mod2 requires every coefficient to be an integer."""
 

@@ -13,8 +13,8 @@ import json
 from json.encoder import encode_basestring_ascii
 
 from .complexes import FilteredComplex
-from .errors import ParseError
-from .rationals import POS_INF, parse_extended
+from .errors import ParseError, WeightTooLong
+from .rationals import _MAX_LENGTH, POS_INF, format_extended, parse_extended
 
 FORMAT_TAG = "fcw/1"
 
@@ -107,13 +107,20 @@ def serialize_complex(x: FilteredComplex) -> str:
 
     The text is exactly json.dumps(doc, indent=2, sort_keys=True) + "\\n" of
     the document, written straight from the complex's tuples: each id is
-    escaped once and each distinct weight formatted once.
+    escaped once and each distinct weight formatted once.  A weight longer
+    than parse_document reads raises WeightTooLong naming a cell of that
+    weight.
     """
     ids, dims, bounds = x._ids, x._dims, x._bounds
     n = len(ids)
     names = ids + x._unknown
     quoted = list(map(encode_basestring_ascii, names))
-    weight_text = list(map(str, x._levels))  # by rank; -1 is -inf
+    weight_text = list(map(format_extended, x._levels))  # by rank; -1 is -inf
+    for rank, text in enumerate(weight_text):
+        if len(text) > _MAX_LENGTH:
+            cell = ids[x._rank.index(rank)]
+            detail = f"weight of {len(text)} characters, longer than the {_MAX_LENGTH} a document may hold"
+            raise WeightTooLong(f"cell {cell}: {detail}")
     cells = []
     for j, rank in enumerate(x._rank):
         bound = bounds[j]

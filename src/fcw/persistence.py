@@ -16,15 +16,19 @@ from operator import attrgetter
 from ._kernels import max_bipartite_matching, reduce_pairing
 from ._record import Record
 from .complexes import FilteredComplex
-from .rationals import NEG_INF, POS_INF, format_extended, is_finite
+from .rationals import NEG_INF, POS_INF, as_fraction, format_extended
 
 
 class Bar(Record):
-    """One interval of a barcode in homological degree `dim`."""
+    """One interval [birth, death) of a barcode in the int degree `dim`, with
+    exact endpoints: Fractions, a -inf birth or a +inf death."""
 
     __slots__ = ("dim", "birth", "death")
 
     def __init__(self, dim: int, birth, death):
+        if not isinstance(dim, int) or isinstance(dim, bool):
+            raise TypeError(f"bar degree must be an int, got {dim!r}")
+        birth, death = (v if v is NEG_INF or v is POS_INF else as_fraction(v) for v in (birth, death))
         super().__init__(dim, birth, death)
         if not birth < death:
             raise ValueError(f"bar needs birth < death, got [{birth}, {death})")
@@ -119,29 +123,14 @@ def euler_from_barcode(bc: Barcode, level) -> int:
 
 # -- bottleneck distance ------------------------------------------------------
 #
-# A bar's kind is which of its endpoints are infinite.  Bars of different kinds
-# are never matched (a finite slot against an infinite one costs +inf) and
-# only finite bars may go to the diagonal, so each kind is its own problem and
-# the distance is the largest of their answers.  Every finite endpoint is
-# scaled by S = 2 * lcm(denominators), which makes every cost and every
-# half-length an int; the answer c is returned as Fraction(c, S).
-
-
-def _split(bars, scale):
-    """Scaled (birth, death) pairs of the finite bars, and per infinite kind
-    the scaled finite endpoints of its bars (0 for [-inf, inf) bars)."""
-    finite, infinite = [], {}
-    for bar in bars:
-        b, d = (
-            v.numerator * (scale // v.denominator) if is_finite(v) else None
-            for v in (bar.birth, bar.death)
-        )
-        if b is not None and d is not None:
-            finite.append((b, d))
-        else:
-            key = b if b is not None else (d if d is not None else 0)
-            infinite.setdefault((b is None, d is None), []).append(key)
-    return finite, infinite
+# One solver for every bar of a degree, in ints.  Finite endpoints are scaled
+# by S = 2 * lcm(denominators) to even ints in [-reach, reach], -inf and +inf
+# to -far and far, far = 6 * reach + 2 (even, above 5 * reach).  Pairing bars
+# of different kinds (which endpoints are infinite) then costs at least
+# far - reach, and an infinite bar's diagonal slot (far - reach) / 2: both
+# above 2 * reach.  A finite distance is at most 2 * reach: pair each kind's
+# bars in any order, and send the finite bars to the diagonal.  So the int
+# answer c is S times a finite distance, and above 2 * reach for +inf.
 
 
 def _box(bar, others, births, delta) -> list[int]:
@@ -153,8 +142,8 @@ def _box(bar, others, births, delta) -> list[int]:
     return [j for j in range(lo, hi) if abs(others[j][1] - d) <= delta]
 
 
-def _finite_bottleneck(bars1, bars2) -> int:
-    """Least delta at which the finite (birth, death) pairs admit a matching of
+def _int_bottleneck(bars1, bars2) -> int:
+    """Least delta at which the (birth, death) int pairs admit a matching of
     cost <= delta, every unmatched bar paying half its length to the diagonal."""
     bars1, bars2 = sorted(bars1), sorted(bars2)
     # each side against the other side's bars, sorted by birth
@@ -194,20 +183,20 @@ def _finite_bottleneck(bars1, bars2) -> int:
 
 
 def _bottleneck_single(bars1, bars2):
-    denominators = {
-        v.denominator for bar in (*bars1, *bars2) for v in (bar.birth, bar.death) if is_finite(v)
-    }
-    scale = 2 * lcm(*denominators)
-    finite1, infinite1 = _split(bars1, scale)
-    finite2, infinite2 = _split(bars2, scale)
-    worst = _finite_bottleneck(finite1, finite2)
-    for kind in infinite1.keys() | infinite2.keys():
-        xs, ys = infinite1.get(kind, []), infinite2.get(kind, [])
-        if len(xs) != len(ys):
-            return POS_INF
-        # one finite coordinate: pairing in sorted order is optimal
-        worst = max(worst, max(abs(x - y) for x, y in zip(sorted(xs), sorted(ys))))
-    return Fraction(worst, scale)
+    finite = [v for bar in (*bars1, *bars2) for v in (bar.birth, bar.death) if v is not NEG_INF and v is not POS_INF]
+    scale = 2 * lcm(*{v.denominator for v in finite})
+    reach = max((abs(v.numerator) * (scale // v.denominator) for v in finite), default=0)
+    far = 6 * reach + 2
+
+    def scaled(v) -> int:
+        if v is NEG_INF:
+            return -far
+        if v is POS_INF:
+            return far
+        return v.numerator * (scale // v.denominator)
+
+    worst = _int_bottleneck(*([(scaled(bar.birth), scaled(bar.death)) for bar in bars] for bars in (bars1, bars2)))
+    return POS_INF if worst > 2 * reach else Fraction(worst, scale)
 
 
 def bottleneck(b1: Barcode, b2: Barcode, dim: int | None = None):
@@ -219,10 +208,9 @@ def bottleneck(b1: Barcode, b2: Barcode, dim: int | None = None):
     With `dim` given only that degree is compared, otherwise the result is
     the max over all degrees present.
 
-    Within a degree the bars split by kind.  Infinite kinds need equal
-    counts on both sides (else the distance is +inf) and cost the largest
-    gap between their sorted finite endpoints.  Finite bars are solved in
-    integers, every endpoint scaled by twice the lcm of the denominators.
+    Each degree is one problem in ints: finite endpoints scaled by twice the
+    lcm of the denominators lie in [-reach, reach], and -inf and +inf become
+    -far and far, far = 6*reach + 2, so an answer above 2*reach is +inf.
     Bisection over the sorted candidate values (0, the half-lengths, and the
     costs of pairs within a bar's half-length of it) finds the least delta
     at which, by the Mendelsohn-Dulmage theorem, one matching of cost

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import NonIntegerCoefficient, NonPositiveBase
-from .rationals import NEG_INF, as_fraction
+from .rationals import NEG_INF, as_fraction, format_extended
 
 _ZERO = Fraction(0)
 
@@ -150,7 +150,7 @@ class Polynomial:
         """Canonical text: terms by increasing exponent, `coeff*t^exp` each."""
         if not self._terms:
             return "0"
-        return " + ".join(f"{c}*t^{e}" for e, c in self.terms())
+        return " + ".join(f"{format_extended(c)}*t^{format_extended(e)}" for e, c in self.terms())
 
     def __str__(self):
         return self.render()

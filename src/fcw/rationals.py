@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import operator
 import re
+from decimal import Decimal  # loaded by fractions already: no start-up cost
 from fractions import Fraction
 
 
@@ -65,14 +66,11 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}: {x!r}")
 
 
-def is_finite(v) -> bool:
-    return not (v is NEG_INF or v is POS_INF)
-
-
 # An integer, p/q or a finite decimal, in ASCII digits: no exponent, no
-# underscores.  The length bound keeps parsed values, and the two-term sums the
-# constructions make of them, far below Python's 4300-digit int-to-str limit,
-# so every weight prints again; the CLI prints sums over all cells via Decimal.
+# underscores, and at most _MAX_LENGTH characters.  A construction's weight can
+# be longer: a filtered product adds two weights, and shift adds its amount.
+# serialize_complex refuses to write such a weight, so fcw reads back every
+# document it writes.
 _RATIONAL = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+|\.[0-9]*)?|\.[0-9]+)")
 _MAX_LENGTH = 1000
 
@@ -101,5 +99,10 @@ def parse_extended(text: str):
 
 
 def format_extended(v) -> str:
-    """Lowest-terms rendering; inverse of parse_extended on its outputs."""
-    return str(v)  # an infinity's str is its repr, `-inf` or `inf`
+    """An int, a Fraction in lowest terms, `-inf` or `inf`, exact at any
+    length: Decimal converts an int past the 4300 digits str() stops at.
+    parse_extended reads back every output of at most _MAX_LENGTH characters."""
+    if v is NEG_INF or v is POS_INF:
+        return repr(v)
+    text = str(Decimal(v.numerator))
+    return text if v.denominator == 1 else f"{text}/{Decimal(v.denominator)}"

@@ -408,6 +408,28 @@ def test_sums_longer_than_str_can_print_are_exact(tmp_path):
     assert exact(stats["weight"]) == total
 
 
+# two coprime 499-digit denominators: 1/P + 1/Q has a 997-digit denominator
+P, Q = 10**498 + 1, 10**498 + 3
+
+
+@pytest.mark.parametrize(
+    "argv, cell",
+    [
+        (["product", "--filtered", "A.fcw", "B.fcw"], "l.c1*r.c1"),
+        (["shift", "A.fcw", f"--by=1/{Q}"], "c1"),
+    ],
+    ids=["product", "shift"],
+)
+def test_a_weight_too_long_to_read_back_is_not_written(tmp_path, monkeypatch, argv, cell):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "A.fcw").write_text(serialize_complex(sphere(1, F(1, P))))
+    (tmp_path / "B.fcw").write_text(serialize_complex(sphere(1, F(1, Q))))
+    result = run(argv)
+    assert (result.exit_code, result.payload) == (1, "")
+    assert result.error.startswith(f"WeightTooLong: cell {cell}: weight of ")
+    assert "\n" not in result.error
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -14,12 +14,17 @@ from fcw import (
     Cell,
     FilteredComplex,
     NEG_INF,
+    POS_INF,
     ParseError,
+    Polynomial,
     ValidationError,
+    WeightTooLong,
     barcode,
+    format_extended,
     parse_complex,
     parse_document,
     parse_weight,
+    product,
     serialize_complex,
     smash,
     sphere,
@@ -48,6 +53,39 @@ def test_round_trip_on_random_complexes():
     for _ in range(25):
         x = random_complex(rng)
         assert parse_complex(serialize_complex(x)) == x
+
+
+def test_documents_written_by_every_construction_parse_back_equal():
+    rng = random.Random(283)
+    weights = [F(-3, 2), F(0), F(1, 3), F(5, 7), F(2)]
+    for _ in range(25):
+        x, y = random_complex(rng, max_cells=6), random_complex(rng, max_cells=6)
+        written = [
+            wedge(x, y),
+            product(x, y),
+            product(x, y, filtered=True),
+            smash(x, y),
+            smash(x, y, filtered=True),
+            x.suspend(),
+            x.shift(rng.choice(weights)),
+            x.cutoff(rng.choice(weights)),
+        ]
+        for z in written:
+            assert parse_complex(serialize_complex(z)) == z
+
+
+def test_a_weight_longer_than_a_document_holds_is_not_written():
+    at_bound = sphere(1, 10**999)  # "1" and 999 zeros: the longest weight that parses
+    assert parse_complex(serialize_complex(at_bound)) == at_bound
+    with pytest.raises(WeightTooLong, match=r"^cell c1: weight of 1001 characters, longer than the 1000"):
+        serialize_complex(sphere(1, 10**1000))
+
+
+def test_format_extended_prints_any_length_exactly():
+    assert [format_extended(v) for v in (NEG_INF, POS_INF, 0, -3, F(-7, 2))] == ["-inf", "inf", "0", "-3", "-7/2"]
+    # past the 4300 digits str() converts
+    assert format_extended(F(-(10**5000), 3)) == "-1" + "0" * 5000 + "/3"
+    assert Polynomial.monomial(10**5000, F(1, 2)).render() == "1" + "0" * 5000 + "*t^1/2"
 
 
 def test_serialized_sphere_golden_bytes():

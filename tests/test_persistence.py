@@ -204,6 +204,25 @@ def test_bar_requires_birth_before_death():
         Bar(0, 2, 1)
 
 
+def test_bar_coerces_exact_endpoints_and_keeps_the_infinities():
+    bar = Bar(0, 1, 2)
+    assert type(bar.birth) is Fraction and type(bar.death) is Fraction
+    assert Bar(1, NEG_INF, POS_INF).birth is NEG_INF
+    assert Bar(1, NEG_INF, POS_INF).death is POS_INF
+
+
+@pytest.mark.parametrize("birth, death", [(0.5, 1), (0, 1.0), (Fraction(1), "2")])
+def test_bar_rejects_an_endpoint_that_is_not_exact(birth, death):
+    with pytest.raises(TypeError, match="expected an exact rational"):
+        Bar(0, birth, death)
+
+
+@pytest.mark.parametrize("dim", ["x", True, 1.0, None])
+def test_bar_rejects_a_degree_that_is_not_an_int(dim):
+    with pytest.raises(TypeError, match=f"bar degree must be an int, got {dim!r}"):
+        Bar(dim, 1, 2)
+
+
 def test_barcode_multiset_semantics():
     one = Barcode([Bar(1, 0, 1), Bar(1, 0, 1)])
     other = Barcode([Bar(1, 0, 1)])
