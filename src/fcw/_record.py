@@ -1,4 +1,12 @@
-"""The immutable-record base shared by fcw's value objects."""
+"""The immutable-record base shared by fcw's value objects, and the two
+argument gates every value object and entry point checks its arguments with.
+
+``integer(value, what, nonnegative=False)`` passes an int that is not a
+bool, raising ``TypeError: {what} must be an int, got {value!r}``
+otherwise; with `nonnegative`, a value below 0 raises ``ValueError: {what}
+must be nonnegative, got {value}``.  ``cell_id(value)`` passes a str,
+raising ``TypeError: cell id must be a str, got {value!r}`` otherwise.
+"""
 
 from __future__ import annotations
 
@@ -57,3 +65,19 @@ class Record:
     def __reduce__(self):
         # copy and pickle rebuild through __init__, since __setattr__ refuses
         return self.__class__, self._values()
+
+
+def integer(value, what: str, nonnegative: bool = False) -> int:
+    """`value` if it is an int, not a bool, and with `nonnegative` not below 0."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{what} must be an int, got {value!r}")
+    if nonnegative and value < 0:
+        raise ValueError(f"{what} must be nonnegative, got {value}")
+    return value
+
+
+def cell_id(value) -> str:
+    """`value` if it is a str."""
+    if not isinstance(value, str):
+        raise TypeError(f"cell id must be a str, got {value!r}")
+    return value

@@ -14,7 +14,7 @@ from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from types import MappingProxyType
 
-from ._record import Record
+from ._record import Record, cell_id, integer
 from .errors import ValidationError
 from .rationals import NEG_INF, as_fraction
 
@@ -52,11 +52,10 @@ class Cell(Record):
     __slots__ = ("id", "dim", "weight", "boundary")
 
     def __init__(self, id: str, dim: int, weight, boundary=frozenset()):
-        if not isinstance(id, str):
-            raise TypeError(f"cell id must be a str, got {id!r}")
-        if not isinstance(dim, int) or isinstance(dim, bool):
-            raise TypeError(f"cell dimension must be an int, got {dim!r}")
-        super().__init__(id, dim, _as_weight(weight), frozenset(boundary))
+        if isinstance(boundary, str):  # would read as one id a character
+            raise TypeError(f"cell boundary must be a collection of cell ids, got {boundary!r}")
+        id, dim = cell_id(id), integer(dim, "cell dimension")
+        super().__init__(id, dim, _as_weight(weight), frozenset(map(cell_id, boundary)))
 
     @property
     def eternal(self) -> bool:
@@ -94,7 +93,7 @@ class FilteredComplex:
     def __init__(self, cells: Iterable[Cell], basepoint: str):
         cells = list(cells)
         ids, dims, weights = [c.id for c in cells], [c.dim for c in cells], [c.weight for c in cells]
-        self._fill(ids, dims, weights, [c.boundary for c in cells], basepoint)
+        self._fill(ids, dims, weights, [c.boundary for c in cells], cell_id(basepoint))
 
     @classmethod
     def _build(cls, ids, dims, weights, boundaries, basepoint, valid=None) -> FilteredComplex:
@@ -320,10 +319,7 @@ class FilteredComplex:
     def rename(self, mapping: Mapping[str, str]) -> FilteredComplex:
         """Relabel cells; ids missing from the mapping keep their name.  A
         new name that breaks the id grammar raises ValidationError."""
-        names = [mapping.get(name, name) for name in self.require_valid()._ids]
-        for name in names:
-            if not isinstance(name, str):
-                raise TypeError(f"cell id must be a str, got {name!r}")
+        names = [cell_id(mapping.get(name, name)) for name in self.require_valid()._ids]
         lists = self._lists(names, range(len(self)), self._dims)
         return FilteredComplex._build(*lists, mapping.get(self._basepoint, self._basepoint)).require_valid()
 
@@ -333,17 +329,12 @@ class FilteredComplex:
 
 def point(basepoint_id: str = "pt") -> FilteredComplex:
     """The one-point complex."""
-    if not isinstance(basepoint_id, str):
-        raise TypeError(f"cell id must be a str, got {basepoint_id!r}")
-    return FilteredComplex._build([basepoint_id], [0], [NEG_INF], [()], basepoint_id)
+    return FilteredComplex._build([cell_id(basepoint_id)], [0], [NEG_INF], [()], basepoint_id)
 
 
 def sphere(k: int, level) -> FilteredComplex:
     """Basepoint plus a single k-cell appearing at `level` (boundary zero)."""
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise TypeError(f"sphere dimension must be an int, got {k!r}")
-    if k < 0:
-        raise ValueError(f"sphere dimension must be nonnegative, got {k}")
+    k = integer(k, "sphere dimension", nonnegative=True)
     return FilteredComplex._build(["pt", "c1"], [0, k], [NEG_INF, _as_weight(level)], [(), ()], "pt")
 
 

@@ -10,7 +10,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 
-from ._record import Record
+from ._record import Record, integer
 from .complexes import FilteredComplex
 from .errors import EulerMismatch
 from .polynomial import Polynomial
@@ -78,9 +78,7 @@ def matching_number(x: FilteredComplex, y: FilteredComplex) -> int:
 
 def k_class(x: FilteredComplex, n: int = 0) -> Polynomial:
     """Image of the degree-n stable class of x in the exponent ring."""
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise TypeError(f"degree must be an int, got {n!r}")
-    sign = -1 if n % 2 else 1
+    sign = -1 if integer(n, "degree") % 2 else 1
     return euler_polynomial(x).scale(sign)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._record import Record
+from ._record import Record, integer
 from .complexes import FilteredComplex
 from .errors import InvalidBoundaries, NegativeWeight, ParseError, UnsupportedCell, ValidationError
 from .polynomial import Polynomial
@@ -25,13 +25,10 @@ class CriticalPoint(Record):
     __slots__ = ("value", "index")
 
     def __init__(self, value: Fraction, index: int):
-        if not isinstance(index, int) or isinstance(index, bool):
-            raise TypeError(f"Morse index must be an int, got {index!r}")
+        index = integer(index, "Morse index", nonnegative=True)
         super().__init__(as_fraction(value), index)
         if self.value < 0:
             raise ValueError(f"critical values must be nonnegative, got {self.value}")
-        if index < 0:
-            raise ValueError(f"Morse index must be nonnegative, got {index}")
 
 
 class MorseDatum(Record):
@@ -140,9 +137,7 @@ class Linearization(Record):
     def __init__(self, entries):
         normalised = []
         for k, r in entries:
-            if k < 0:
-                raise ValueError(f"sphere dimension must be nonnegative, got {k}")
-            r = as_fraction(r)
+            k, r = integer(k, "sphere dimension", nonnegative=True), as_fraction(r)
             if r < 0:
                 raise NegativeWeight(f"linearization weight {r} < 0")
             normalised.append((k, r))

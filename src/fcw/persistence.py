@@ -14,65 +14,53 @@ from math import lcm
 from operator import attrgetter
 
 from ._kernels import max_bipartite_matching, reduce_pairing
-from ._record import Record
+from ._record import Record, integer
 from .complexes import FilteredComplex
 from .rationals import NEG_INF, POS_INF, as_fraction, format_extended
 
 
 class Bar(Record):
-    """One interval [birth, death) of a barcode in the int degree `dim`, with
-    exact endpoints: Fractions, a -inf birth or a +inf death."""
+    """One interval [birth, death) of a barcode in the degree `dim`, a
+    nonnegative int, with exact endpoints: Fractions, a -inf birth or a +inf
+    death."""
 
     __slots__ = ("dim", "birth", "death")
 
     def __init__(self, dim: int, birth, death):
-        if not isinstance(dim, int) or isinstance(dim, bool):
-            raise TypeError(f"bar degree must be an int, got {dim!r}")
+        dim = integer(dim, "bar degree", nonnegative=True)
         birth, death = (v if v is NEG_INF or v is POS_INF else as_fraction(v) for v in (birth, death))
         super().__init__(dim, birth, death)
         if not birth < death:
             raise ValueError(f"bar needs birth < death, got [{birth}, {death})")
 
 
-class Barcode:
-    """A finite multiset of bars; equality respects multiplicity."""
+class Barcode(Record):
+    """A finite multiset of bars, kept sorted; equality respects multiplicity."""
 
-    __slots__ = ("_bars",)
+    __slots__ = ("bars",)
 
     def __init__(self, bars=()):
-        self._bars = tuple(sorted(bars, key=Bar._key))
-
-    @property
-    def bars(self) -> tuple[Bar, ...]:
-        return self._bars
+        super().__init__(tuple(sorted(bars, key=Bar._key)))
 
     def dims(self) -> list[int]:
-        return sorted({b.dim for b in self._bars})
+        return sorted({b.dim for b in self.bars})
 
     def restrict(self, dim: int) -> Barcode:
-        return Barcode(b for b in self._bars if b.dim == dim)
+        return Barcode(b for b in self.bars if b.dim == dim)
 
     def __len__(self):
-        return len(self._bars)
+        return len(self.bars)
 
     def __iter__(self):
-        return iter(self._bars)
-
-    def __eq__(self, other):
-        if not isinstance(other, Barcode):
-            return NotImplemented
-        return self._bars == other._bars
-
-    def __hash__(self):
-        return hash(self._bars)
+        return iter(self.bars)
 
     def __repr__(self):
-        return f"Barcode({len(self._bars)} bars)"
+        return f"Barcode({len(self.bars)} bars)"
 
     def to_tsv(self) -> str:
         """Canonical TSV: header plus one (dim, birth, death) row per bar."""
         lines = ["dim\tbirth\tdeath"]
-        for bar in self._bars:
+        for bar in self.bars:
             lines.append(
                 f"{bar.dim}\t{format_extended(bar.birth)}\t{format_extended(bar.death)}"
             )
@@ -218,10 +206,8 @@ def bottleneck(b1: Barcode, b2: Barcode, dim: int | None = None):
     such bar2.  A bar's edges come from a delta-box around it, found by
     bisection over the other side's sorted births.
     """
-    if dim is not None and (isinstance(dim, bool) or not isinstance(dim, int)):
-        raise TypeError(f"degree must be an int, got {dim!r}")
-    if dim is not None and dim < 0:
-        raise ValueError(f"degree must be nonnegative, got {dim}")
+    if dim is not None:
+        integer(dim, "degree", nonnegative=True)
     # a barcode's bars are sorted by degree first, so one pass groups them
     groups = [{d: list(bars) for d, bars in groupby(bc.bars, attrgetter("dim"))} for bc in (b1, b2)]
     best = Fraction(0)

@@ -19,6 +19,7 @@ from fcw import (
     NEG_INF,
     POS_INF,
     Bar,
+    Barcode,
     Cell,
     CriticalPoint,
     InvariantReport,
@@ -86,6 +87,7 @@ VALUES = [
     (Cell, "weight", ("a", 1, F(1, 2), frozenset({"pt"}))),
     (Violation, "cell", ("Kind", "a", "detail")),
     (Bar, "birth", (1, F(1, 2), 1)),
+    (Barcode, "bars", ([Bar(1, 0, 1), Bar(0, NEG_INF, POS_INF), Bar(1, 0, 1)],)),
     (InvariantReport, "cell_count", (POLY, POLY, F(1), F(1), F(1))),
     (CriticalPoint, "value", (F(1, 2), 1)),
     (MorseDatum, "points", ([(0, 0), (1, 1)],)),

@@ -415,6 +415,13 @@ def test_cell_id_must_be_a_string():
         sphere(1, 1).rename({"pt": None})
     with pytest.raises(TypeError, match="cell id must be a str, got 5"):
         point(5)
+    with pytest.raises(TypeError, match="cell id must be a str, got 5"):
+        FilteredComplex([Cell("pt", 0, NEG_INF)], 5)
+    with pytest.raises(TypeError, match="cell id must be a str, got 1"):
+        Cell("e", 1, F(1), [1, "zz"])
+    # a string is not read as one id a character
+    with pytest.raises(TypeError, match="cell boundary must be a collection of cell ids, got 'v1'"):
+        Cell("e", 1, F(1), "v1")
 
 
 def test_cell_dimension_must_be_an_integer():

@@ -113,6 +113,8 @@ def test_morse_index_must_be_an_integer():
             CriticalPoint(F(1), index)
         with pytest.raises(TypeError):
             MorseDatum([(F(0), 0), (F(1), index)])
+    with pytest.raises(ValueError, match="Morse index must be nonnegative, got -1"):
+        CriticalPoint(F(1), -1)
 
 
 def test_parse_morse_datum():
@@ -220,8 +222,11 @@ def test_linearization_entries_are_sorted_and_nonnegative():
     assert lin.entries == ((3, F(1, 2)), (0, F(2)), (1, F(2)))
     with pytest.raises(NegativeWeight):
         Linearization([(0, F(-1))])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sphere dimension must be nonnegative, got -1"):
         Linearization([(-1, F(1))])
+    for k in (0.5, True, "a"):
+        with pytest.raises(TypeError, match=f"sphere dimension must be an int, got {k!r}"):
+            Linearization([(k, F(1))])
 
 
 def test_linearization_stats_of_torus():

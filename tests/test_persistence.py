@@ -217,9 +217,11 @@ def test_bar_rejects_an_endpoint_that_is_not_exact(birth, death):
         Bar(0, birth, death)
 
 
-@pytest.mark.parametrize("dim", ["x", True, 1.0, None])
+@pytest.mark.parametrize("dim", ["x", True, 1.0, None, -1])
 def test_bar_rejects_a_degree_that_is_not_an_int(dim):
-    with pytest.raises(TypeError, match=f"bar degree must be an int, got {dim!r}"):
+    # a negative int is an int but no degree
+    error, rule = (ValueError, "nonnegative") if type(dim) is int else (TypeError, "an int")
+    with pytest.raises(error, match=f"bar degree must be {rule}, got {dim!r}"):
         Bar(dim, 1, 2)
 
 
