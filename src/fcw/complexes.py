@@ -52,7 +52,8 @@ class Cell(Record):
     __slots__ = ("id", "dim", "weight", "boundary")
 
     def __init__(self, id: str, dim: int, weight, boundary=frozenset()):
-        if isinstance(boundary, str):  # would read as one id a character
+        # a str would read as one id a character, a mapping as its keys
+        if isinstance(boundary, (str, Mapping)):
             raise TypeError(f"cell boundary must be a collection of cell ids, got {boundary!r}")
         id, dim = cell_id(id), integer(dim, "cell dimension")
         super().__init__(id, dim, _as_weight(weight), frozenset(map(cell_id, boundary)))

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import groupby
 from math import lcm
-from operator import attrgetter
 
 from ._kernels import max_bipartite_matching, reduce_pairing
 from ._record import Record, integer
@@ -40,6 +38,10 @@ class Barcode(Record):
     __slots__ = ("bars",)
 
     def __init__(self, bars=()):
+        bars = tuple(bars)
+        for bar in bars:
+            if not isinstance(bar, Bar):
+                raise TypeError(f"barcode entry must be a Bar, got {bar!r}")
         super().__init__(tuple(sorted(bars, key=Bar._key)))
 
     def dims(self) -> list[int]:
@@ -110,15 +112,6 @@ def euler_from_barcode(bc: Barcode, level) -> int:
 
 
 # -- bottleneck distance ------------------------------------------------------
-#
-# One solver for every bar of a degree, in ints.  Finite endpoints are scaled
-# by S = 2 * lcm(denominators) to even ints in [-reach, reach], -inf and +inf
-# to -far and far, far = 6 * reach + 2 (even, above 5 * reach).  Pairing bars
-# of different kinds (which endpoints are infinite) then costs at least
-# far - reach, and an infinite bar's diagonal slot (far - reach) / 2: both
-# above 2 * reach.  A finite distance is at most 2 * reach: pair each kind's
-# bars in any order, and send the finite bars to the diagonal.  So the int
-# answer c is S times a finite distance, and above 2 * reach for +inf.
 
 
 def _box(bar, others, births, delta) -> list[int]:
@@ -170,8 +163,39 @@ def _int_bottleneck(bars1, bars2) -> int:
     return ordered[bisect_left(ordered, True, hi=len(ordered) - 1, key=feasible)]
 
 
-def _bottleneck_single(bars1, bars2):
-    finite = [v for bar in (*bars1, *bars2) for v in (bar.birth, bar.death) if v is not NEG_INF and v is not POS_INF]
+def bottleneck(b1: Barcode, b2: Barcode, dim: int | None = None):
+    """Exact bottleneck distance (a Fraction, or +inf when unmatchable).
+
+    Matching cost between bars is the max of the birth and death gaps, with
+    equal infinities at gap 0 and mixed infinite/finite slots at +inf; a bar
+    may instead pay half its length to the diagonal (infinite bars cannot).
+    With `dim` given only that degree is compared, otherwise the result is
+    the max over all degrees present.
+
+    The compared bars are one problem in ints.  Finite endpoints are scaled
+    by S = 2 * lcm(denominators) to even ints in [-reach, reach], -inf and
+    +inf to -far and far, far = 6 * reach + 2 (even, above 5 * reach).
+    Pairing bars of different kinds (which endpoints are infinite) then
+    costs at least far - reach, and an infinite bar's diagonal slot
+    (far - reach) / 2: both above 2 * reach.  A finite distance is at most
+    2 * reach: pair each kind's bars in any order, and send the finite bars
+    to the diagonal.  So the max over the degrees of their int answers is S
+    times a finite distance, and above 2 * reach for +inf.
+
+    Bisection over the sorted candidate values (0, the half-lengths, and the
+    costs of pairs within a bar's half-length of it) finds the least delta
+    at which, by the Mendelsohn-Dulmage theorem, one matching of cost
+    <= delta covers every bar1 longer than 2*delta and another covers every
+    such bar2.  A bar's edges come from a delta-box around it, found by
+    bisection over the other side's sorted births.
+    """
+    for bc in (b1, b2):
+        if not isinstance(bc, Barcode):
+            raise TypeError(f"bottleneck compares two Barcodes, got {type(bc).__name__}")
+    if dim is not None:
+        integer(dim, "degree", nonnegative=True)
+    sides = [bc.bars if dim is None else [bar for bar in bc.bars if bar.dim == dim] for bc in (b1, b2)]
+    finite = [v for bars in sides for bar in bars for v in (bar.birth, bar.death) if v is not NEG_INF and v is not POS_INF]
     scale = 2 * lcm(*{v.denominator for v in finite})
     reach = max((abs(v.numerator) * (scale // v.denominator) for v in finite), default=0)
     far = 6 * reach + 2
@@ -183,38 +207,12 @@ def _bottleneck_single(bars1, bars2):
             return far
         return v.numerator * (scale // v.denominator)
 
-    worst = _int_bottleneck(*([(scaled(bar.birth), scaled(bar.death)) for bar in bars] for bars in (bars1, bars2)))
+    groups = ({}, {})
+    for bars, group in zip(sides, groups):
+        for bar in bars:
+            group.setdefault(bar.dim, []).append((scaled(bar.birth), scaled(bar.death)))
+    worst = max(
+        (_int_bottleneck(groups[0].get(d, []), groups[1].get(d, [])) for d in groups[0].keys() | groups[1].keys()),
+        default=0,
+    )
     return POS_INF if worst > 2 * reach else Fraction(worst, scale)
-
-
-def bottleneck(b1: Barcode, b2: Barcode, dim: int | None = None):
-    """Exact bottleneck distance (a Fraction, or +inf when unmatchable).
-
-    Matching cost between bars is the max of the birth and death gaps, with
-    equal infinities at gap 0 and mixed infinite/finite slots at +inf; a bar
-    may instead pay half its length to the diagonal (infinite bars cannot).
-    With `dim` given only that degree is compared, otherwise the result is
-    the max over all degrees present.
-
-    Each degree is one problem in ints: finite endpoints scaled by twice the
-    lcm of the denominators lie in [-reach, reach], and -inf and +inf become
-    -far and far, far = 6*reach + 2, so an answer above 2*reach is +inf.
-    Bisection over the sorted candidate values (0, the half-lengths, and the
-    costs of pairs within a bar's half-length of it) finds the least delta
-    at which, by the Mendelsohn-Dulmage theorem, one matching of cost
-    <= delta covers every bar1 longer than 2*delta and another covers every
-    such bar2.  A bar's edges come from a delta-box around it, found by
-    bisection over the other side's sorted births.
-    """
-    if dim is not None:
-        integer(dim, "degree", nonnegative=True)
-    # a barcode's bars are sorted by degree first, so one pass groups them
-    groups = [{d: list(bars) for d, bars in groupby(bc.bars, attrgetter("dim"))} for bc in (b1, b2)]
-    best = Fraction(0)
-    for d in sorted(groups[0].keys() | groups[1].keys()) if dim is None else [dim]:
-        value = _bottleneck_single(*(group.get(d, []) for group in groups))
-        if value is POS_INF:
-            return POS_INF
-        if value > best:
-            best = value
-    return best

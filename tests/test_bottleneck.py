@@ -86,6 +86,15 @@ def test_non_int_degree_is_rejected():
             bottleneck(left, Barcode(), dim=dim)
 
 
+def test_only_barcodes_of_bars_are_compared():
+    for bars, entry in (([(0, 1, 2)], r"\(0, 1, 2\)"), ("ab", "'a'")):
+        with pytest.raises(TypeError, match=f"barcode entry must be a Bar, got {entry}"):
+            Barcode(bars)
+    for left, right, kind in (([Bar(0, 0, 1)], Barcode(), "list"), (Barcode(), None, "NoneType")):
+        with pytest.raises(TypeError, match=f"bottleneck compares two Barcodes, got {kind}"):
+            bottleneck(left, right)
+
+
 def test_negative_degree_is_rejected():
     with pytest.raises(ValueError):
         bottleneck(Barcode(), Barcode(), dim=-1)

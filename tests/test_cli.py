@@ -156,6 +156,9 @@ def test_sphere_command():
     assert parse_complex(doc) == sphere(2, 1)
     eternal = payload("sphere", "-k", "3", "-l=-inf")
     assert parse_complex(eternal) == sphere(3, NEG_INF)
+    result = run(["sphere", "-k", "-1", "-l", "0"])
+    assert (result.exit_code, result.payload) == (2, "")
+    assert result.error == "ParseError: -k must be nonnegative, got -1"
 
 
 def test_morse_commands(tmp_path):

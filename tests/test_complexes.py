@@ -422,6 +422,9 @@ def test_cell_id_must_be_a_string():
     # a string is not read as one id a character
     with pytest.raises(TypeError, match="cell boundary must be a collection of cell ids, got 'v1'"):
         Cell("e", 1, F(1), "v1")
+    # nor a mapping as its keys: a document would reduce {"v": 2} mod 2 to no id
+    with pytest.raises(TypeError, match=r"cell boundary must be a collection of cell ids, got \{'v': 2\}"):
+        Cell("e", 1, F(1), {"v": 2})
 
 
 def test_cell_dimension_must_be_an_integer():

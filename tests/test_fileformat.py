@@ -174,6 +174,9 @@ def test_malformed_documents_raise_parse_error():
         "[1, 2]",
         good.replace('"fcw/1"', '"fcw/2"'),
         good.replace('"basepoint": "pt"', '"basepoint": 3'),
+        '{"basepoint": "pt", "cells": {}, "format": "fcw/1"}',
+        '{"basepoint": "pt", "cells": [1], "format": "fcw/1"}',
+        good.replace('"dim": 2', '"degree": 2'),
         good.replace('"dim": 2', '"dim": "2"'),
         good.replace('"weight": "4"', '"weight": "oops"'),
         good.replace('"weight": "4"', '"weight": 4'),

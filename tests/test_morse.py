@@ -220,6 +220,7 @@ def test_canonical_linearization_reports_the_lowest_bad_cell_first():
 def test_linearization_entries_are_sorted_and_nonnegative():
     lin = Linearization([(1, F(2)), (0, F(2)), (3, F(1, 2))])
     assert lin.entries == ((3, F(1, 2)), (0, F(2)), (1, F(2)))
+    assert len(lin) == 3
     with pytest.raises(NegativeWeight):
         Linearization([(0, F(-1))])
     with pytest.raises(ValueError, match="sphere dimension must be nonnegative, got -1"):

@@ -230,6 +230,7 @@ def test_barcode_multiset_semantics():
     other = Barcode([Bar(1, 0, 1)])
     assert one != other
     assert len(one) == 2
+    assert repr(one) == "Barcode(2 bars)"
 
 
 def test_tsv_rendering_is_sorted_and_stable():

@@ -23,6 +23,8 @@ def test_monomial_eternal_exponent_is_zero():
 
 def test_monomial_zero_coefficient_is_zero():
     assert Polynomial.monomial(0, 3) == Polynomial.zero()
+    assert poly((1, 2)).scale(0) == Polynomial.zero()
+    assert not Polynomial.zero() and poly((1, 2))
 
 
 def test_monomial_direct_construction():
@@ -39,6 +41,7 @@ def test_equal_exponents_in_any_form_sum_as_one_term():
     p = Polynomial([(1, 1), (F(2, 2), 2), (F(1, 2), F(1, 3)), (F(3, 6), 1)])
     assert p.terms() == ((F(1, 2), F(4, 3)), (F(1), F(3)))
     assert Polynomial([(F(1, 2), 1), (F(2, 4), -1)]).is_zero()
+    assert (p.coefficient(F(2, 4)), p.coefficient(1), p.coefficient(2)) == (F(4, 3), F(3), 0)
 
 
 def test_add_cancels_terms():
@@ -159,7 +162,9 @@ def test_evalf_rejects_nonpositive_base():
 
 def test_render_zero_and_ordering():
     assert Polynomial.zero().render() == "0"
-    assert poly((1, 2), (F(1, 2), -1)).render() == "-1*t^1/2 + 2*t^1"
+    p = poly((1, 2), (F(1, 2), -1))
+    assert p.render() == str(p) == "-1*t^1/2 + 2*t^1"
+    assert repr(p) == "Polynomial('-1*t^1/2 + 2*t^1')"
 
 
 # -- algebraic laws on random polynomials --------------------------------------
