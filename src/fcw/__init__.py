@@ -21,7 +21,6 @@ _EXPORTS = {
         "InvalidBoundaries",
         "NegativeWeight",
         "NonIntegerCoefficient",
-        "NonPositiveBase",
         "ParseError",
         "UnsupportedCell",
         "ValidationError",
@@ -52,7 +51,7 @@ _EXPORTS = {
     ),
     "persistence": ("Bar", "Barcode", "barcode", "bottleneck", "euler_from_barcode"),
     "polynomial": ("Polynomial",),
-    "rationals": ("NEG_INF", "POS_INF", "format_extended", "parse_extended"),
+    "rationals": ("NEG_INF", "POS_INF", "format_extended"),
 }
 
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

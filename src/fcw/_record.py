@@ -1,4 +1,4 @@
-"""The immutable-record base shared by fcw's value objects, and the two
+"""The immutable-record base shared by fcw's value objects, and the
 argument gates every value object and entry point checks its arguments with.
 
 ``integer(value, what, nonnegative=False)`` passes an int that is not a
@@ -6,6 +6,8 @@ bool, raising ``TypeError: {what} must be an int, got {value!r}``
 otherwise; with `nonnegative`, a value below 0 raises ``ValueError: {what}
 must be nonnegative, got {value}``.  ``cell_id(value)`` passes a str,
 raising ``TypeError: cell id must be a str, got {value!r}`` otherwise.
+``instance(value, cls)`` passes an instance of `cls`, raising
+``TypeError: expected a {cls}, got {type of value}`` otherwise.
 """
 
 from __future__ import annotations
@@ -80,4 +82,11 @@ def cell_id(value) -> str:
     """`value` if it is a str."""
     if not isinstance(value, str):
         raise TypeError(f"cell id must be a str, got {value!r}")
+    return value
+
+
+def instance(value, cls):
+    """`value` if it is an instance of `cls`."""
+    if not isinstance(value, cls):
+        raise TypeError(f"expected a {cls.__name__}, got {type(value).__name__}")
     return value

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import io
 import os
 import sys
 from collections import Counter
@@ -26,7 +27,8 @@ from .rationals import NEG_INF, format_extended
 
 
 class CommandResult(Record):
-    """Exit code, stdout payload and stderr line of one command."""
+    """Exit code, stdout payload and stderr text, without its last newline,
+    of one command."""
 
     __slots__ = ("exit_code", "payload", "error")
 
@@ -307,13 +309,19 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def run(argv) -> CommandResult:
+    """The command's result, with every byte it prints: argparse writes help
+    and usage errors to sys.stdout and sys.stderr, so they are caught here."""
     argv = list(argv)
     parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+    streams = sys.stdout, sys.stderr
+    sys.stdout, sys.stderr = out, err = io.StringIO(), io.StringIO()
     try:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
-        return CommandResult(code, "", "")
+        return CommandResult(code, out.getvalue(), err.getvalue().removesuffix("\n"))
+    finally:
+        sys.stdout, sys.stderr = streams
     try:
         out = ns.handler(ns)
     except ParseError as exc:

@@ -14,7 +14,7 @@ from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from types import MappingProxyType
 
-from ._record import Record, cell_id, integer
+from ._record import Record, cell_id, instance, integer
 from .errors import ValidationError
 from .rationals import NEG_INF, as_fraction
 
@@ -93,6 +93,9 @@ class FilteredComplex:
 
     def __init__(self, cells: Iterable[Cell], basepoint: str):
         cells = list(cells)
+        for cell in cells:
+            if not isinstance(cell, Cell):
+                raise TypeError(f"complex entry must be a Cell, got {cell!r}")
         ids, dims, weights = [c.id for c in cells], [c.dim for c in cells], [c.weight for c in cells]
         self._fill(ids, dims, weights, [c.boundary for c in cells], cell_id(basepoint))
 
@@ -346,10 +349,15 @@ def sphere(k: int, level) -> FilteredComplex:
 # quotient by the wedge in the smash, square to zero and keep weights monotone.
 
 
+def _operand(x) -> FilteredComplex:
+    """`x` once it is a FilteredComplex that passes require_valid()."""
+    return instance(x, FilteredComplex).require_valid()
+
+
 def wedge(x: FilteredComplex, y: FilteredComplex) -> FilteredComplex:
     """One-point union: operand cells prefixed `l.` / `r.`, basepoints merged."""
     lists = ["pt"], [0], [NEG_INF], [()]
-    for prefix, operand in (("l.", x.require_valid()), ("r.", y.require_valid())):
+    for prefix, operand in (("l.", _operand(x)), ("r.", _operand(y))):
         bp = operand._index[operand.basepoint]
         names = [prefix + name for name in operand._ids]
         names[bp] = "pt"
@@ -414,13 +422,13 @@ def _pair_cells(x, y, skip_x, skip_y, filtered):
 
 def product(x: FilteredComplex, y: FilteredComplex, filtered: bool = False) -> FilteredComplex:
     """Cellwise product; weights take the max (naive) or the sum (filtered)."""
-    ids, dims, weights, boundaries = _pair_cells(x.require_valid(), y.require_valid(), None, None, filtered)
+    ids, dims, weights, boundaries = _pair_cells(_operand(x), _operand(y), None, None, filtered)
     basepoint = ids[x._index[x.basepoint] * len(y) + y._index[y.basepoint]]
     return FilteredComplex._build(ids, dims, weights, boundaries, basepoint, valid=True)
 
 
 def smash(x: FilteredComplex, y: FilteredComplex, filtered: bool = False) -> FilteredComplex:
     """Product with the wedge collapsed: only pairs of non-basepoint cells survive."""
-    skip_x, skip_y = x.require_valid()._index[x.basepoint], y.require_valid()._index[y.basepoint]
+    skip_x, skip_y = _operand(x)._index[x.basepoint], _operand(y)._index[y.basepoint]
     ids, dims, weights, boundaries = _pair_cells(x, y, skip_x, skip_y, filtered)
     return FilteredComplex._build(["pt", *ids], [0, *dims], [NEG_INF, *weights], [(), *boundaries], "pt", valid=True)

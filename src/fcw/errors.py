@@ -27,10 +27,6 @@ class NonIntegerCoefficient(FCWError):
     """mod2 requires every coefficient to be an integer."""
 
 
-class NonPositiveBase(FCWError):
-    """Floating evaluation is only defined for t > 0."""
-
-
 class EulerMismatch(FCWError):
     """Matching number needs both complexes to share the same t=1 Euler value."""
 

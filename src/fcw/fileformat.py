@@ -12,9 +12,10 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii
 
+from ._record import instance
 from .complexes import FilteredComplex
 from .errors import ParseError, WeightTooLong
-from .rationals import _MAX_LENGTH, POS_INF, format_extended, parse_extended
+from .rationals import _MAX_LENGTH, NEG_INF, format_extended, parse_rational
 
 FORMAT_TAG = "fcw/1"
 
@@ -23,16 +24,19 @@ _CELL_KEYS = {"id", "dim", "weight", "boundary"}
 
 
 def parse_weight(text: str):
-    """Parse a weight string; `inf` is rejected (weights live in {-inf} + Q)."""
+    """Parse a weight string, `-inf` or an exact rational; `inf` is rejected
+    (weights live in {-inf} + Q).  fcw reads every weight here."""
     if not isinstance(text, str):
         raise ParseError(f"weight must be a string, got {type(text).__name__}")
+    s = text.strip()
+    if s == "-inf":
+        return NEG_INF
+    if s == "inf":
+        raise ParseError("weight `inf` is not allowed")
     try:
-        value = parse_extended(text)
+        return parse_rational(s)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-    if value is POS_INF:
-        raise ParseError("weight `inf` is not allowed")
-    return value
 
 
 def load_json(text: str):
@@ -111,7 +115,7 @@ def serialize_complex(x: FilteredComplex) -> str:
     than parse_document reads raises WeightTooLong naming a cell of that
     weight.
     """
-    ids, dims, bounds = x._ids, x._dims, x._bounds
+    ids, dims, bounds = instance(x, FilteredComplex)._ids, x._dims, x._bounds
     n = len(ids)
     names = ids + x._unknown
     quoted = list(map(encode_basestring_ascii, names))

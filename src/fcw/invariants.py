@@ -10,7 +10,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 
-from ._record import Record, integer
+from ._record import Record, instance, integer
 from .complexes import FilteredComplex
 from .errors import EulerMismatch
 from .polynomial import Polynomial
@@ -19,7 +19,7 @@ from .polynomial import Polynomial
 def _cell_counts(x: FilteredComplex) -> Counter:
     """The number of cells, basepoint included, of each (weight rank, dim);
     rank -1 stands for -inf.  The validity gate of every invariant."""
-    return Counter(zip(x.require_valid()._rank, x._dims))
+    return Counter(zip(instance(x, FilteredComplex).require_valid()._rank, x._dims))
 
 
 def _weight_polynomial(x: FilteredComplex, counts: Counter, signed: bool) -> Polynomial:
@@ -49,15 +49,16 @@ def euler_curve(x: FilteredComplex) -> list[int]:
     of weight <= r (Euler-Poincare), so the curve is the running sum of the
     signed cell counts per weight rank.
     """
+    counts = _cell_counts(x)
     step = [0] * len(x._levels)  # step[r + 1]: signed count of rank r
-    for (r, d), k in _cell_counts(x).items():
+    for (r, d), k in counts.items():
         step[r + 1] += (-1) ** d * k
     return list(accumulate(step))
 
 
-def weighted_euler_char(x: FilteredComplex, upto=None) -> Fraction:
+def weighted_euler_char(x: FilteredComplex) -> Fraction:
     """d/dt of the Euler polynomial, evaluated at t = 1."""
-    return euler_polynomial(x, upto).derivative().at_one()
+    return euler_polynomial(x).derivative().at_one()
 
 
 def matching_number(x: FilteredComplex, y: FilteredComplex) -> int:

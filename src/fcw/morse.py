@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._record import Record, integer
+from ._record import Record, instance, integer
 from .complexes import FilteredComplex
 from .errors import InvalidBoundaries, NegativeWeight, ParseError, UnsupportedCell, ValidationError
 from .polynomial import Polynomial
@@ -37,15 +37,21 @@ class MorseDatum(Record):
     __slots__ = ("points",)
 
     def __init__(self, points):
-        pts = tuple(p if isinstance(p, CriticalPoint) else CriticalPoint(*p) for p in points)
+        pts = tuple(map(_critical_point, points))
         if not pts:
             raise ValueError("a Morse datum needs at least one critical point")
         if not any(p.index == 0 for p in pts):
             raise ValueError("a Morse datum needs a critical point of index 0")
         super().__init__(pts)
 
-    def sorted_points(self) -> tuple[CriticalPoint, ...]:
-        return tuple(sorted(self.points, key=lambda p: (p.value, p.index)))
+
+def _critical_point(p) -> CriticalPoint:
+    """A CriticalPoint, or one made from a (value, index) pair."""
+    if isinstance(p, CriticalPoint):
+        return p
+    if isinstance(p, (tuple, list)) and len(p) == 2:
+        return CriticalPoint(*p)
+    raise TypeError(f"Morse datum entry must be a CriticalPoint or a (value, index) pair, got {p!r}")
 
 
 def parse_morse_datum(text: str) -> MorseDatum:
@@ -79,7 +85,7 @@ def morse_complex(datum: MorseDatum, boundaries=None) -> FilteredComplex:
     (a list of ids, or a map id -> integer coefficient reduced mod 2); any
     other `boundaries` or chain raises ParseError, naming the chain's cell.
     """
-    ordered = datum.sorted_points()
+    ordered = sorted(instance(datum, MorseDatum).points, key=lambda p: (p.value, p.index))
     base_index = next(i for i, p in enumerate(ordered) if p.index == 0)
     points = ordered[:base_index] + ordered[base_index + 1 :]
     names = [f"c{k}" for k in range(1, len(points) + 1)]
@@ -156,7 +162,7 @@ def canonical_linearization(x: FilteredComplex) -> Linearization:
     rejected, as are negative weights.
     """
     entries = []
-    rank, dims, levels = x.require_valid()._rank, x._dims, x._levels
+    rank, dims, levels = instance(x, FilteredComplex).require_valid()._rank, x._dims, x._levels
     # stable on the (dim, id) order of the positions: (weight, dim, id) order
     for i in sorted(range(len(rank)), key=rank.__getitem__):
         w = levels[rank[i]]

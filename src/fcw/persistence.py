@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import lcm
 
 from ._kernels import max_bipartite_matching, reduce_pairing
-from ._record import Record, integer
+from ._record import Record, instance, integer
 from .complexes import FilteredComplex
 from .rationals import NEG_INF, POS_INF, as_fraction, format_extended
 
@@ -80,8 +80,7 @@ def barcode(x: FilteredComplex) -> Barcode:
     Weights are compared by their integer ranks (FilteredComplex.ranks), and
     the columns are the complex's boundary positions, renumbered.
     """
-    x.require_valid()
-    rank = x._rank
+    rank = instance(x, FilteredComplex).require_valid()._rank
     # positions are in (dim, id) order and sorted() is stable: (rank, dim, id)
     order = sorted(range(len(rank)), key=rank.__getitem__)
     at = [0] * len(order)  # position -> index in the filtration order

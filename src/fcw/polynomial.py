@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import NonIntegerCoefficient, NonPositiveBase
+from .errors import NonIntegerCoefficient
 from .rationals import NEG_INF, as_fraction, format_extended
 
 _ZERO = Fraction(0)
@@ -38,19 +38,12 @@ class Polynomial:
         self._terms = {Fraction(*k): as_fraction(c) for k, c in sums.items() if c != 0}
 
     @classmethod
-    def _raw(cls, terms: dict[Fraction, Fraction]) -> Polynomial:
-        # internal: terms already canonical (no zeros, no -inf keys)
-        poly = object.__new__(cls)
-        poly._terms = terms
-        return poly
-
-    @classmethod
     def zero(cls) -> Polynomial:
-        return cls._raw({})
+        return cls()
 
     @classmethod
     def one(cls) -> Polynomial:
-        return cls._raw({_ZERO: Fraction(1)})
+        return cls([(0, 1)])
 
     @classmethod
     def monomial(cls, coeff, exp) -> Polynomial:
@@ -63,9 +56,6 @@ class Polynomial:
 
     def coefficient(self, exp) -> Fraction:
         return self._terms.get(as_fraction(exp), _ZERO)
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def __bool__(self):
         return bool(self._terms)
@@ -84,7 +74,7 @@ class Polynomial:
         return Polynomial([*self._terms.items(), *other._terms.items()])
 
     def __neg__(self):
-        return Polynomial._raw({e: -c for e, c in self._terms.items()})
+        return Polynomial((e, -c) for e, c in self._terms.items())
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -104,47 +94,33 @@ class Polynomial:
 
     def scale(self, factor) -> Polynomial:
         factor = as_fraction(factor)
-        if factor == 0:
-            return Polynomial.zero()
-        return Polynomial._raw({e: c * factor for e, c in self._terms.items()})
+        return Polynomial((e, c * factor) for e, c in self._terms.items())
 
     def derivative(self) -> Polynomial:
         """Formal d/dt: c*t**r -> c*r*t**(r-1); constant terms vanish."""
-        return Polynomial._raw(
-            {e - 1: c * e for e, c in self._terms.items() if e != 0}
-        )
+        return Polynomial((e - 1, c * e) for e, c in self._terms.items())
 
     def shift(self, amount) -> Polynomial:
         """Multiply by t**amount, i.e. add `amount` to every exponent."""
         amount = as_fraction(amount)
-        return Polynomial._raw({e + amount: c for e, c in self._terms.items()})
+        return Polynomial((e + amount, c) for e, c in self._terms.items())
 
     def truncate(self, upto) -> Polynomial:
         """Keep exactly the terms with exponent <= upto (-inf keeps nothing)."""
-        if upto is NEG_INF:
-            return Polynomial.zero()
-        upto = as_fraction(upto)
-        return Polynomial._raw({e: c for e, c in self._terms.items() if e <= upto})
+        if upto is not NEG_INF:
+            upto = as_fraction(upto)
+        return Polynomial((e, c) for e, c in self._terms.items() if e <= upto)
 
     def mod2(self) -> Polynomial:
         """Replace every integer coefficient by its parity in {0, 1}."""
-        out = {}
         for e, c in self._terms.items():
             if c.denominator != 1:
                 raise NonIntegerCoefficient(f"coefficient {c} of t^{e} is not an integer")
-            if c.numerator % 2:
-                out[e] = Fraction(1)
-        return Polynomial._raw(out)
+        return Polynomial((e, c.numerator % 2) for e, c in self._terms.items())
 
     def at_one(self) -> Fraction:
         """Exact evaluation at t = 1: the sum of the coefficients."""
         return sum(self._terms.values(), _ZERO)
-
-    def evalf(self, t: float) -> float:
-        """Approximate evaluation at a float t > 0 (plotting only)."""
-        if not t > 0:
-            raise NonPositiveBase(f"evalf requires t > 0, got {t}")
-        return sum(float(c) * float(t) ** float(e) for e, c in self._terms.items())
 
     def render(self) -> str:
         """Canonical text: terms by increasing exponent, `coeff*t^exp` each."""

@@ -88,20 +88,10 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator: {text!r}") from exc
 
 
-def parse_extended(text: str):
-    """Parse '-inf', 'inf', or an exact rational ('3', '-1/2', '0.25')."""
-    s = text.strip()
-    if s == "-inf":
-        return NEG_INF
-    if s == "inf":
-        return POS_INF
-    return parse_rational(s)
-
-
 def format_extended(v) -> str:
     """An int, a Fraction in lowest terms, `-inf` or `inf`, exact at any
     length: Decimal converts an int past the 4300 digits str() stops at.
-    parse_extended reads back every output of at most _MAX_LENGTH characters."""
+    parse_rational reads back every finite output of at most _MAX_LENGTH characters."""
     if v is NEG_INF or v is POS_INF:
         return repr(v)
     text = str(Decimal(v.numerator))

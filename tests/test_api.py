@@ -30,6 +30,7 @@ from fcw import (
     Violation,
 )
 from fcw.cli import CommandResult
+from fcw.invariants import euler_curve
 
 F = Fraction
 
@@ -70,7 +71,8 @@ def test_public_annotations_resolve():
             functions.append(obj)
     assert fcw.FilteredComplex.__init__ in functions and fcw.FilteredComplex.ranks in functions
     for function in functions:
-        typing.get_type_hints(function)
+        # exact values only: no public function takes or returns a float
+        assert float not in typing.get_type_hints(function).values(), function
 
 
 def test_unknown_attribute_raises_attribute_error():
@@ -190,3 +192,38 @@ def test_cell_checks_and_coerces_its_fields():
     assert cell.weight == F(2) and type(cell.weight) is F
     assert cell.boundary == frozenset({"a"}) and type(cell.boundary) is frozenset
     assert Cell(id="x", dim=1, weight=2, boundary=["a"]) == cell
+
+
+# each entry point that takes a complex or a Morse datum, given another value,
+# and the whole message of its TypeError
+SPHERE = fcw.sphere(1, 0)
+NOT_A_COMPLEX = "expected a FilteredComplex, got str"
+NOT_A_POINT = r"Morse datum entry must be a CriticalPoint or a \(value, index\) pair, got "
+WRONG_TYPES = {
+    "FilteredComplex": (lambda: fcw.FilteredComplex([("pt", 0, NEG_INF)], "pt"), r"complex entry must be a Cell, got \('pt', 0, -inf\)"),
+    **{
+        name: (lambda function=getattr(fcw, name): function("x"), NOT_A_COMPLEX)
+        for name in (
+            "barcode", "canonical_linearization", "euler_polynomial", "invariant_report",
+            "k_class", "size_polynomial", "weighted_euler_char",
+        )
+    },
+    "euler_curve": (lambda: euler_curve(5), "expected a FilteredComplex, got int"),
+    "matching_number-left": (lambda: fcw.matching_number("x", SPHERE), NOT_A_COMPLEX),
+    "matching_number-right": (lambda: fcw.matching_number(SPHERE, "x"), NOT_A_COMPLEX),
+    **{
+        f"{name}-{side}": (lambda name=name, operands=operands: getattr(fcw, name)(*operands), NOT_A_COMPLEX)
+        for name in ("wedge", "product", "smash")
+        for side, operands in (("left", ("x", SPHERE)), ("right", (SPHERE, "x")))
+    },
+    "serialize_complex": (lambda: fcw.serialize_complex(None), "expected a FilteredComplex, got NoneType"),
+    "MorseDatum": (lambda: MorseDatum([5]), NOT_A_POINT + "5"),
+    "MorseDatum-triple": (lambda: MorseDatum([(0, 0, 1)]), NOT_A_POINT + r"\(0, 0, 1\)"),
+    "morse_complex": (lambda: fcw.morse_complex([(0, 0)]), "expected a MorseDatum, got list"),
+}
+
+
+@pytest.mark.parametrize("call, message", WRONG_TYPES.values(), ids=WRONG_TYPES)
+def test_an_entry_point_names_a_value_of_the_wrong_type(call, message):
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        call()

@@ -283,9 +283,10 @@ def test_one_subcommand_parser_answers_as_the_full_parser(capsys, argv):
     except SystemExit as exc:
         want_code = exc.code
     want = capsys.readouterr()
-    assert run(argv).exit_code == want_code
-    got = capsys.readouterr()
-    assert (got.out, got.err) == (want.out, want.err)
+    result = run(argv)
+    assert capsys.readouterr() == ("", "")  # run returns what argparse prints
+    assert result.exit_code == want_code
+    assert (result.payload, result.error + "\n" if result.error else "") == (want.out, want.err)
     assert want.out or want.err
 
 
@@ -459,20 +460,20 @@ def test_repeated_runs_are_byte_identical():
 
 @pytest.mark.parametrize(
     "argv",
-    [["barcode", S2HP], ["match", TORUS, S2H], ["euler", "no-such-file.fcw"], ["--help"]],
-    ids=["barcode", "domain-error", "parse-error", "help"],
+    [["barcode", S2HP], ["match", TORUS, S2H], ["euler", "no-such-file.fcw"], ["--help"], ["barcode"]],
+    ids=["barcode", "domain-error", "parse-error", "help", "usage-error"],
 )
 def test_the_process_prints_what_run_returns(capsys, monkeypatch, argv):
     # buffered stdout and a small output: without the flush before the exit it would be lost
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal's width
     result = run(argv)
-    printed = capsys.readouterr()  # argparse prints help itself
+    assert capsys.readouterr() == ("", "")  # main alone writes, help and usage errors too
     proc = subprocess.run(
         [sys.executable, "-m", "fcw.cli", *argv], env=_child_env(), capture_output=True, text=True
     )
     assert proc.returncode == result.exit_code
-    assert proc.stdout == printed.out + result.payload
-    assert proc.stderr == printed.err + (result.error + "\n" if result.error else "")
+    assert proc.stdout == result.payload
+    assert proc.stderr == (result.error + "\n" if result.error else "")
     assert proc.stdout or proc.stderr
 
 

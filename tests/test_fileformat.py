@@ -125,11 +125,15 @@ def test_decimal_weights_parse_exactly():
 
 def test_weight_strings():
     assert parse_weight("-inf") is NEG_INF
+    assert parse_weight(" -inf ") is NEG_INF
     assert parse_weight("3") == 3
     assert parse_weight("-7/2") == F(-7, 2)
     assert parse_weight("0.25") == F(1, 4)
-    with pytest.raises(ParseError):
-        parse_weight("inf")
+    for text in ("inf", " inf "):
+        with pytest.raises(ParseError, match="^weight `inf` is not allowed$"):
+            parse_weight(text)
+    with pytest.raises(ParseError, match=r"^not an exact rational: '\+inf'$"):
+        parse_weight("+inf")
     with pytest.raises(ParseError):
         parse_weight("wat")
     with pytest.raises(ParseError):
