@@ -46,6 +46,14 @@ def _rank_weights(weights) -> tuple[tuple[int, ...], tuple]:
     return tuple(map(rank_of.__getitem__, map(id, weights))), levels
 
 
+def _order(primary, secondary) -> list[int]:
+    """Positions sorted by (primary[i], secondary[i]): two stable sorts,
+    without a key tuple per position."""
+    order = sorted(range(len(primary)), key=secondary.__getitem__)
+    order.sort(key=primary.__getitem__)
+    return order
+
+
 class Cell(Record):
     """One cell: identifier, dimension, weight, and mod-2 boundary ids."""
 
@@ -125,9 +133,7 @@ class FilteredComplex:
         """Set the tuples from parallel lists; each weight is a Fraction or
         NEG_INF and each dimension an int."""
         n = len(ids)
-        # two stable sorts give (dim, id) order without a key tuple per cell
-        order = sorted(range(n), key=ids.__getitem__)
-        order.sort(key=dims.__getitem__)
+        order = _order(dims, ids)
         self._ids = tuple(map(ids.__getitem__, order))
         self._index = index = dict(zip(self._ids, range(n)))
         if len(index) < n:
@@ -323,6 +329,7 @@ class FilteredComplex:
     def rename(self, mapping: Mapping[str, str]) -> FilteredComplex:
         """Relabel cells; ids missing from the mapping keep their name.  A
         new name that breaks the id grammar raises ValidationError."""
+        instance(mapping, Mapping)
         names = [cell_id(mapping.get(name, name)) for name in self.require_valid()._ids]
         lists = self._lists(names, range(len(self)), self._dims)
         return FilteredComplex._build(*lists, mapping.get(self._basepoint, self._basepoint)).require_valid()

@@ -10,10 +10,11 @@ size/Euler invariant and a documented choice for homology.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 
 from ._record import Record, instance, integer
-from .complexes import FilteredComplex
+from .complexes import FilteredComplex, _order, _rank_weights
 from .errors import InvalidBoundaries, NegativeWeight, ParseError, UnsupportedCell, ValidationError
 from .polynomial import Polynomial
 from .rationals import NEG_INF, as_fraction, parse_rational
@@ -58,7 +59,7 @@ def parse_morse_datum(text: str) -> MorseDatum:
     """One `value<TAB>index` pair a line, # comments and blank lines skipped; a line's error starts `line N: `."""
     points = []
     try:
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        for lineno, raw in enumerate(instance(text, str).splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -85,18 +86,19 @@ def morse_complex(datum: MorseDatum, boundaries=None) -> FilteredComplex:
     (a list of ids, or a map id -> integer coefficient reduced mod 2); any
     other `boundaries` or chain raises ParseError, naming the chain's cell.
     """
-    ordered = sorted(instance(datum, MorseDatum).points, key=lambda p: (p.value, p.index))
-    base_index = next(i for i, p in enumerate(ordered) if p.index == 0)
-    points = ordered[:base_index] + ordered[base_index + 1 :]
-    names = [f"c{k}" for k in range(1, len(points) + 1)]
+    points = instance(datum, MorseDatum).points
+    rank, levels = _rank_weights([p.value for p in points])
+    order = _order(rank, [p.index for p in points])  # (value, index) order, comparing ints
+    order.remove(next(i for i in order if points[i].index == 0))  # the lowest minimum is the basepoint
+    names = [f"c{k}" for k in range(1, len(order) + 1)]
     attach = _normalise_boundaries({} if boundaries is None else boundaries)
     bounds = [attach.pop(name, ()) for name in names]
     if attach:
         raise InvalidBoundaries(f"boundaries given for unknown cells: {sorted(attach)}")
     built = FilteredComplex._build(
         ["pt", *names],
-        [0, *(p.index for p in points)],
-        [NEG_INF, *(p.value for p in points)],
+        [0, *(points[i].index for i in order)],
+        [NEG_INF, *(levels[rank[i]] for i in order)],
         [(), *bounds],
         "pt",
     )
@@ -127,12 +129,12 @@ def _normalise_boundaries(boundaries) -> dict[str, frozenset]:
 
 def bound_size_spheres(datum: MorseDatum) -> Fraction:
     """Upper bound for one-cell-at-a-time cone decompositions: sum of all values."""
-    return sum((p.value for p in datum.points), Fraction(0))
+    return sum((p.value for p in instance(datum, MorseDatum).points), Fraction(0))
 
 
 def bound_size_wedges(datum: MorseDatum) -> Fraction:
     """Upper bound when simultaneous attachments are allowed: sum of distinct values."""
-    return sum({p.value for p in datum.points}, Fraction(0))
+    return sum({p.value for p in instance(datum, MorseDatum).points}, Fraction(0))
 
 
 class Linearization(Record):
@@ -142,8 +144,10 @@ class Linearization(Record):
 
     def __init__(self, entries):
         normalised = []
-        for k, r in entries:
-            k, r = integer(k, "sphere dimension", nonnegative=True), as_fraction(r)
+        for entry in entries:
+            if not (isinstance(entry, (tuple, list)) and len(entry) == 2):
+                raise TypeError(f"linearization entry must be a (sphere dimension, weight) pair, got {entry!r}")
+            k, r = integer(entry[0], "sphere dimension", nonnegative=True), as_fraction(entry[1])
             if r < 0:
                 raise NegativeWeight(f"linearization weight {r} < 0")
             normalised.append((k, r))
@@ -163,16 +167,17 @@ def canonical_linearization(x: FilteredComplex) -> Linearization:
     """
     entries = []
     rank, dims, levels = instance(x, FilteredComplex).require_valid()._rank, x._dims, x._levels
+    low = bisect_left(levels, 0, 0, len(levels) - 1)  # ranks 0 to low - 1 weigh < 0
     # stable on the (dim, id) order of the positions: (weight, dim, id) order
     for i in sorted(range(len(rank)), key=rank.__getitem__):
-        w = levels[rank[i]]
-        if w is NEG_INF:
+        r = rank[i]
+        if r < 0:  # -inf
             continue
-        if w < 0:
-            raise NegativeWeight(f"cell {x._ids[i]} has weight {w} < 0")
+        if r < low:
+            raise NegativeWeight(f"cell {x._ids[i]} has weight {levels[r]} < 0")
         if dims[i] == 0:
             raise UnsupportedCell(f"finite-weight 0-cell {x._ids[i]} has no attaching sphere")
-        entries.append((dims[i] - 1, w))
+        entries.append((dims[i] - 1, levels[r]))
     return Linearization(entries)
 
 
@@ -183,10 +188,10 @@ class LinearizationStats(Record):
 
 
 def linearization_stats(lin: Linearization) -> LinearizationStats:
-    poly = Polynomial((r, 1) for _, r in lin.entries)
+    poly = Polynomial((r, 1) for _, r in instance(lin, Linearization).entries)
     return LinearizationStats(poly, poly.at_one(), poly.derivative().at_one())
 
 
 def euler_poly_rel(lin: Linearization) -> Polynomial:
     """Signed attachment polynomial: a k-sphere entry contributes (-1)**(k+1) * t**r."""
-    return Polynomial((r, (-1) ** (k + 1)) for k, r in lin.entries)
+    return Polynomial((r, (-1) ** (k + 1)) for k, r in instance(lin, Linearization).entries)

@@ -122,27 +122,42 @@ def _box(bar, others, births, delta) -> list[int]:
     return [j for j in range(lo, hi) if abs(others[j][1] - d) <= delta]
 
 
-def _int_bottleneck(bars1, bars2) -> int:
+def _int_bottleneck(bars1, bars2, reach) -> int:
     """Least delta at which the (birth, death) int pairs admit a matching of
-    cost <= delta, every unmatched bar paying half its length to the diagonal."""
+    cost <= delta, every unmatched bar paying half its length to the diagonal.
+    Finite endpoints lie in [-reach, reach]; when the answer is above
+    2 * reach, so is the int returned, which may then differ from it."""
     bars1, bars2 = sorted(bars1), sorted(bars2)
+    # the sorted matching's cost `top` (U) and `low` (L): see bottleneck()
+    kinds = {}
+    for side, bars in enumerate((bars1, bars2)):
+        for b, d in bars:
+            kinds.setdefault((b < -reach, d > reach), ([], []))[side].append((b, d))
+    top = low = 0
+    for kind, (left, right) in kinds.items():
+        cost = max([max(abs(b1 - b2), abs(d1 - d2)) for (b1, d1), (b2, d2) in zip(left, right)], default=0)
+        if any(kind):
+            low = max(low, cost)
+        top = max(top, cost, *[(d - b) // 2 for b, d in left[len(right):] + right[len(left):]])
+    if top > 2 * reach or low == top:
+        return top
     # each side against the other side's bars, sorted by birth
     directions = [(bars1, bars2, [b for b, _ in bars2]), (bars2, bars1, [b for b, _ in bars1])]
     # A bar is forced at delta when its half-length exceeds delta.  A pair
     # costing c is an edge the matchings below can use only while one of its
     # bars is forced, so beyond 0 and the half-lengths the only candidates
-    # are pairs within a bar's half-length of it.  The largest candidate is
-    # at least every half-length, where nothing is forced: it is feasible.
-    candidates = {0}
+    # are pairs within a bar's half-length of it; and none outside [low, top]
+    # is needed.  The largest candidate, top, is feasible.
+    candidates = {0, top}
     for bars, others, births in directions:
         for b, d in bars:
-            half = (d - b) // 2
-            candidates.add(half)
+            radius = min((d - b) // 2, top)
+            candidates.add(radius)
             candidates.update(
                 max(abs(others[j][0] - b), abs(others[j][1] - d))
-                for j in _box((b, d), others, births, half)
+                for j in _box((b, d), others, births, radius)
             )
-    ordered = sorted(candidates)
+    ordered = sorted(c for c in candidates if c >= low)
 
     def feasible(delta) -> bool:
         # Mendelsohn-Dulmage: a delta-matching exists iff one matching covers
@@ -181,12 +196,20 @@ def bottleneck(b1: Barcode, b2: Barcode, dim: int | None = None):
     to the diagonal.  So the max over the degrees of their int answers is S
     times a finite distance, and above 2 * reach for +inf.
 
-    Bisection over the sorted candidate values (0, the half-lengths, and the
-    costs of pairs within a bar's half-length of it) finds the least delta
-    at which, by the Mendelsohn-Dulmage theorem, one matching of cost
-    <= delta covers every bar1 longer than 2*delta and another covers every
-    such bar2.  A bar's edges come from a delta-box around it, found by
-    bisection over the other side's sorted births.
+    One matching is written down first: each kind's bars paired in sorted
+    order, the rest sent to the diagonal.  Its cost U bounds the answer.
+    Above 2 * reach it sent an infinite bar to the diagonal, and then every
+    matching pays more than 2 * reach: +inf.  Otherwise a matching within
+    2 * reach pairs each infinite kind within itself, where one coordinate
+    varies and sorted order costs least, so the most L that the sorted
+    pairs of infinite bars cost is at most the answer, and L = U is the
+    answer.  Otherwise bisection over the
+    sorted candidate values in [L, U] (0, U, the half-lengths, and the costs
+    of pairs within min(half-length, U) of a bar) finds the least delta at
+    which, by the Mendelsohn-Dulmage theorem, one matching of cost <= delta
+    covers every bar1 longer than 2*delta and another covers every such
+    bar2.  A bar's edges come from a delta-box around it, found by bisection
+    over the other side's sorted births.
     """
     for bc in (b1, b2):
         if not isinstance(bc, Barcode):
@@ -211,7 +234,7 @@ def bottleneck(b1: Barcode, b2: Barcode, dim: int | None = None):
         for bar in bars:
             group.setdefault(bar.dim, []).append((scaled(bar.birth), scaled(bar.death)))
     worst = max(
-        (_int_bottleneck(groups[0].get(d, []), groups[1].get(d, [])) for d in groups[0].keys() | groups[1].keys()),
+        (_int_bottleneck(groups[0].get(d, []), groups[1].get(d, []), reach) for d in groups[0].keys() | groups[1].keys()),
         default=0,
     )
     return POS_INF if worst > 2 * reach else Fraction(worst, scale)

@@ -220,6 +220,20 @@ WRONG_TYPES = {
     "MorseDatum": (lambda: MorseDatum([5]), NOT_A_POINT + "5"),
     "MorseDatum-triple": (lambda: MorseDatum([(0, 0, 1)]), NOT_A_POINT + r"\(0, 0, 1\)"),
     "morse_complex": (lambda: fcw.morse_complex([(0, 0)]), "expected a MorseDatum, got list"),
+    "bound_size_spheres": (lambda: fcw.bound_size_spheres([(0, 0)]), "expected a MorseDatum, got list"),
+    "bound_size_wedges": (lambda: fcw.bound_size_wedges([(0, 0)]), "expected a MorseDatum, got list"),
+    "linearization_stats": (lambda: fcw.linearization_stats([(0, 1)]), "expected a Linearization, got list"),
+    "euler_poly_rel": (lambda: fcw.euler_poly_rel([(0, 1)]), "expected a Linearization, got list"),
+    "rename": (lambda: SPHERE.rename(5), "expected a Mapping, got int"),
+    "parse_morse_datum": (lambda: fcw.parse_morse_datum(5), "expected a str, got int"),
+    "Linearization": (
+        lambda: Linearization([5]),
+        r"linearization entry must be a \(sphere dimension, weight\) pair, got 5",
+    ),
+    "Linearization-triple": (
+        lambda: Linearization([(0, 1, 2)]),
+        r"linearization entry must be a \(sphere dimension, weight\) pair, got \(0, 1, 2\)",
+    ),
 }
 
 

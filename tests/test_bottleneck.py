@@ -233,6 +233,26 @@ def test_shift_moves_overlapping_bars_by_exactly_the_shift():
     assert bottleneck(shifted(bc, a), bc) == a
 
 
+def test_many_infinite_bars_are_paired_in_sorted_order():
+    # On one finite coordinate and without the diagonal, pairing in sorted
+    # order is optimal: the distance is its largest gap.
+    rng = random.Random(281)
+
+    def ends():
+        return [F(rng.randrange(10**6), rng.choice(DENOMINATORS)) for _ in range(1000)]
+
+    births, deaths = (ends(), ends()), (ends(), ends())
+    left, right = (
+        Barcode([*(Bar(1, b, POS_INF) for b in births[side]), *(Bar(1, NEG_INF, d) for d in deaths[side])])
+        for side in (0, 1)
+    )
+    gap = max(abs(u - v) for pair in (births, deaths) for u, v in zip(sorted(pair[0]), sorted(pair[1])))
+    assert bottleneck(left, right) == gap
+    # one kind with unequal counts leaves an infinite bar that nothing takes
+    assert bottleneck(left, Barcode(right.bars[1:])) is POS_INF
+    assert bottleneck(Barcode(left.bars[:-1]), right) is POS_INF
+
+
 def test_stability_on_perturbed_grids():
     # Cohen-Steiner-Edelsbrunner-Harer: the barcodes of two lower-star
     # filtrations f, g of one grid are within max |f - g| of each other

@@ -281,3 +281,57 @@ def test_morse_bound_consistency():
         assert weighted_size <= bound_size_spheres(d)
         # the basepoint's critical value is 0 here, so the bound is tight
         assert weighted_size == bound_size_spheres(d)
+
+
+# -- the Morse layer against plain Fraction arithmetic -------------------------
+
+
+def _datum_text(rng, lowest_index):
+    """Seeded `value<TAB>index` lines: repeated lines, ties in value across
+    indices, and 1/2 spelled `1/2`, `0.5` and `2/4`."""
+    lines = ["0\t0"]
+    for _ in range(300):
+        value = rng.choice((F(1, 2), F(rng.randint(0, 12), rng.choice((1, 3, 4)))))
+        text = rng.choice(("1/2", "0.5", "2/4") if value == F(1, 2) else (str(value),))
+        lines += [f"{text}\t{rng.randint(lowest_index, 3)}"] * rng.choice((1, 1, 2, 3))
+    rng.shuffle(lines)
+    return "\n".join(lines) + "\n"
+
+
+def _scanned(x):
+    """canonical_linearization's entries, or its error, by a scan of the cells in (weight, dim, id) order."""
+    entries = []
+    for c in sorted((c for c in x.cells if not c.eternal), key=lambda c: (c.weight, c.dim, c.id)):
+        if c.weight < 0:
+            return f"NegativeWeight: cell {c.id} has weight {c.weight} < 0"
+        if c.dim == 0:
+            return f"UnsupportedCell: finite-weight 0-cell {c.id} has no attaching sphere"
+        entries.append((c.dim - 1, c.weight))
+    return tuple(sorted(entries, key=lambda e: (e[1], e[0])))
+
+
+def _linearized(x):
+    try:
+        return canonical_linearization(x).entries
+    except (NegativeWeight, UnsupportedCell) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("lowest_index", [0, 1])
+def test_morse_layer_agrees_with_plain_fraction_arithmetic(lowest_index):
+    rng = random.Random(283 + lowest_index)
+    d = parse_morse_datum(_datum_text(rng, lowest_index))
+    # cells named c1, c2, ... in the order of a plain sort, the lowest minimum left out
+    ordered = sorted(d.points, key=lambda p: (p.value, p.index))
+    ordered.remove(next(p for p in ordered if p.index == 0))
+    built = morse_complex(d)
+    want = {f"c{k}": (p.index, p.value) for k, p in enumerate(ordered, 1)}
+    assert {c.id: (c.dim, c.weight) for c in built.cells if c.id != "pt"} == want
+    values = [p.value for p in d.points]
+    assert bound_size_spheres(d) == sum(values, F(0))
+    assert bound_size_wedges(d) == sum(set(values), F(0))
+    complexes = [built, built.shift(F(-1, 1000)), built.shift(F(-3, 2))]
+    results = list(map(_linearized, complexes))
+    assert results == list(map(_scanned, complexes))
+    assert isinstance(results[0], tuple) == (lowest_index == 1)
+    assert all(result.startswith("NegativeWeight") for result in results[1:])
