@@ -17,6 +17,11 @@ from .complexes import FilteredComplex
 from .rationals import NEG_INF, POS_INF, as_fraction, format_extended
 
 
+def _extended(v):
+    """`v` if it is -inf or +inf, else `v` as a Fraction (see as_fraction)."""
+    return v if v is NEG_INF or v is POS_INF else as_fraction(v)
+
+
 class Bar(Record):
     """One interval [birth, death) of a barcode in the degree `dim`, a
     nonnegative int, with exact endpoints: Fractions, a -inf birth or a +inf
@@ -26,7 +31,7 @@ class Bar(Record):
 
     def __init__(self, dim: int, birth, death):
         dim = integer(dim, "bar degree", nonnegative=True)
-        birth, death = (v if v is NEG_INF or v is POS_INF else as_fraction(v) for v in (birth, death))
+        birth, death = map(_extended, (birth, death))
         super().__init__(dim, birth, death)
         if not birth < death:
             raise ValueError(f"bar needs birth < death, got [{birth}, {death})")
@@ -48,6 +53,7 @@ class Barcode(Record):
         return sorted({b.dim for b in self.bars})
 
     def restrict(self, dim: int) -> Barcode:
+        dim = integer(dim, "degree", nonnegative=True)
         return Barcode(b for b in self.bars if b.dim == dim)
 
     def __len__(self):
@@ -107,10 +113,22 @@ def barcode(x: FilteredComplex) -> Barcode:
 
 def euler_from_barcode(bc: Barcode, level) -> int:
     """Alternating count of bars alive at `level` (birth <= level < death)."""
+    bc, level = instance(bc, Barcode), _extended(level)
     return sum((-1) ** b.dim for b in bc.bars if b.birth <= level and level < b.death)
 
 
 # -- bottleneck distance ------------------------------------------------------
+
+
+def _finite_ends(bar) -> list:
+    """The endpoints of `bar` that are not -inf or +inf."""
+    return [v for v in (bar.birth, bar.death) if v is not NEG_INF and v is not POS_INF]
+
+
+def _sorted_cost(left, right) -> int:
+    """Cost of pairing two sorted lists of int tuples in order: the largest
+    gap between paired coordinates, 0 when nothing is paired."""
+    return max((abs(x - y) for u, v in zip(left, right) for x, y in zip(u, v)), default=0)
 
 
 def _box(bar, others, births, delta) -> list[int]:
@@ -122,33 +140,16 @@ def _box(bar, others, births, delta) -> list[int]:
     return [j for j in range(lo, hi) if abs(others[j][1] - d) <= delta]
 
 
-def _int_bottleneck(bars1, bars2, reach) -> int:
-    """Least delta at which the (birth, death) int pairs admit a matching of
-    cost <= delta, every unmatched bar paying half its length to the diagonal.
-    Finite endpoints lie in [-reach, reach]; when the answer is above
-    2 * reach, so is the int returned, which may then differ from it."""
-    bars1, bars2 = sorted(bars1), sorted(bars2)
-    # the sorted matching's cost `top` (U) and `low` (L): see bottleneck()
-    kinds = {}
-    for side, bars in enumerate((bars1, bars2)):
-        for b, d in bars:
-            kinds.setdefault((b < -reach, d > reach), ([], []))[side].append((b, d))
-    top = low = 0
-    for kind, (left, right) in kinds.items():
-        cost = max([max(abs(b1 - b2), abs(d1 - d2)) for (b1, d1), (b2, d2) in zip(left, right)], default=0)
-        if any(kind):
-            low = max(low, cost)
-        top = max(top, cost, *[(d - b) // 2 for b, d in left[len(right):] + right[len(left):]])
-    if top > 2 * reach or low == top:
+def _int_bottleneck(bars1, bars2, low) -> int:
+    """Least delta >= low at which the sorted (birth, death) int pairs admit
+    a matching of cost <= delta, every unmatched bar paying half its length
+    to the diagonal.  The candidates and their bounds: see bottleneck()."""
+    top = max(low, _sorted_cost(bars1, bars2), *[(d - b) // 2 for b, d in bars1[len(bars2):] + bars2[len(bars1):]])
+    if low == top:
         return top
     # each side against the other side's bars, sorted by birth
     directions = [(bars1, bars2, [b for b, _ in bars2]), (bars2, bars1, [b for b, _ in bars1])]
-    # A bar is forced at delta when its half-length exceeds delta.  A pair
-    # costing c is an edge the matchings below can use only while one of its
-    # bars is forced, so beyond 0 and the half-lengths the only candidates
-    # are pairs within a bar's half-length of it; and none outside [low, top]
-    # is needed.  The largest candidate, top, is feasible.
-    candidates = {0, top}
+    candidates = {low, top}
     for bars, others, births in directions:
         for b, d in bars:
             radius = min((d - b) // 2, top)
@@ -186,55 +187,48 @@ def bottleneck(b1: Barcode, b2: Barcode, dim: int | None = None):
     With `dim` given only that degree is compared, otherwise the result is
     the max over all degrees present.
 
-    The compared bars are one problem in ints.  Finite endpoints are scaled
-    by S = 2 * lcm(denominators) to even ints in [-reach, reach], -inf and
-    +inf to -far and far, far = 6 * reach + 2 (even, above 5 * reach).
-    Pairing bars of different kinds (which endpoints are infinite) then
-    costs at least far - reach, and an infinite bar's diagonal slot
-    (far - reach) / 2: both above 2 * reach.  A finite distance is at most
-    2 * reach: pair each kind's bars in any order, and send the finite bars
-    to the diagonal.  So the max over the degrees of their int answers is S
-    times a finite distance, and above 2 * reach for +inf.
+    Bars of different degrees or kinds (which endpoints are infinite) never
+    match at a finite cost, and an infinite bar cannot go to the diagonal,
+    so the distance is the max over the (degree, kind) groups.  An infinite
+    group is +inf unless both sides hold the same number of its bars; then
+    it is a bijection on one finite coordinate, where sorted order costs
+    least, and it costs the largest gap of the sorted pairing.  L is the
+    most an infinite group costs.
 
-    One matching is written down first: each kind's bars paired in sorted
-    order, the rest sent to the diagonal.  Its cost U bounds the answer.
-    Above 2 * reach it sent an infinite bar to the diagonal, and then every
-    matching pays more than 2 * reach: +inf.  Otherwise a matching within
-    2 * reach pairs each infinite kind within itself, where one coordinate
-    varies and sorted order costs least, so the most L that the sorted
-    pairs of infinite bars cost is at most the answer, and L = U is the
-    answer.  Otherwise bisection over the
-    sorted candidate values in [L, U] (0, U, the half-lengths, and the costs
-    of pairs within min(half-length, U) of a bar) finds the least delta at
-    which, by the Mendelsohn-Dulmage theorem, one matching of cost <= delta
-    covers every bar1 longer than 2*delta and another covers every such
-    bar2.  A bar's edges come from a delta-box around it, found by bisection
-    over the other side's sorted births.
+    The finite bars of each degree are one integer problem, their endpoints
+    scaled by S = 2 * lcm(denominators) to even ints.  Pairing them in
+    sorted order and sending the rest to the diagonal is a matching, so with
+    L it bounds the answer by U.  A bar is forced at delta when its
+    half-length exceeds delta, and a matching within delta needs a pair
+    only while one of its bars is forced.  So the answer is among L, U, the
+    half-lengths and the costs of pairs within min(half-length, U) of a
+    bar, and bisection over those in [L, U] finds the least delta at which,
+    by the Mendelsohn-Dulmage theorem, one matching of cost <= delta covers
+    every bar1 longer than 2*delta and another covers every such bar2.  A
+    bar's edges come from a delta-box around it, found by bisection over
+    the other side's sorted births.
     """
     for bc in (b1, b2):
         if not isinstance(bc, Barcode):
             raise TypeError(f"bottleneck compares two Barcodes, got {type(bc).__name__}")
     if dim is not None:
-        integer(dim, "degree", nonnegative=True)
-    sides = [bc.bars if dim is None else [bar for bar in bc.bars if bar.dim == dim] for bc in (b1, b2)]
-    finite = [v for bars in sides for bar in bars for v in (bar.birth, bar.death) if v is not NEG_INF and v is not POS_INF]
-    scale = 2 * lcm(*{v.denominator for v in finite})
-    reach = max((abs(v.numerator) * (scale // v.denominator) for v in finite), default=0)
-    far = 6 * reach + 2
-
-    def scaled(v) -> int:
-        if v is NEG_INF:
-            return -far
-        if v is POS_INF:
-            return far
-        return v.numerator * (scale // v.denominator)
-
+        b1, b2 = b1.restrict(dim), b2.restrict(dim)
+    sides = (b1.bars, b2.bars)
+    scale = 2 * lcm(*{v.denominator for bars in sides for bar in bars for v in _finite_ends(bar)})
+    # (degree, -inf birth, +inf death) -> each side's bars, as tuples of their scaled finite endpoints
     groups = ({}, {})
     for bars, group in zip(sides, groups):
         for bar in bars:
-            group.setdefault(bar.dim, []).append((scaled(bar.birth), scaled(bar.death)))
-    worst = max(
-        (_int_bottleneck(groups[0].get(d, []), groups[1].get(d, []), reach) for d in groups[0].keys() | groups[1].keys()),
-        default=0,
-    )
-    return POS_INF if worst > 2 * reach else Fraction(worst, scale)
+            kind = (bar.dim, bar.birth is NEG_INF, bar.death is POS_INF)
+            group.setdefault(kind, []).append(tuple(v.numerator * (scale // v.denominator) for v in _finite_ends(bar)))
+    low, searches = 0, []
+    for kind in groups[0].keys() | groups[1].keys():
+        # sorted: a Barcode keeps its bars sorted, and scaling keeps their order
+        left, right = (group.get(kind, []) for group in groups)
+        if kind[1] or kind[2]:
+            if len(left) != len(right):
+                return POS_INF
+            low = max(low, _sorted_cost(left, right))
+        else:
+            searches.append((left, right))
+    return Fraction(max((_int_bottleneck(left, right, low) for left, right in searches), default=low), scale)

@@ -194,10 +194,11 @@ def test_cell_checks_and_coerces_its_fields():
     assert Cell(id="x", dim=1, weight=2, boundary=["a"]) == cell
 
 
-# each entry point that takes a complex or a Morse datum, given another value,
+# each entry point that takes a complex, a Morse datum or a barcode, given another value,
 # and the whole message of its TypeError
 SPHERE = fcw.sphere(1, 0)
 NOT_A_COMPLEX = "expected a FilteredComplex, got str"
+BARCODE = Barcode([Bar(1, 0, POS_INF)])
 NOT_A_POINT = r"Morse datum entry must be a CriticalPoint or a \(value, index\) pair, got "
 WRONG_TYPES = {
     "FilteredComplex": (lambda: fcw.FilteredComplex([("pt", 0, NEG_INF)], "pt"), r"complex entry must be a Cell, got \('pt', 0, -inf\)"),
@@ -234,6 +235,13 @@ WRONG_TYPES = {
         lambda: Linearization([(0, 1, 2)]),
         r"linearization entry must be a \(sphere dimension, weight\) pair, got \(0, 1, 2\)",
     ),
+    "restrict-bool": (lambda: BARCODE.restrict(True), "degree must be an int, got True"),
+    "restrict-str": (lambda: BARCODE.restrict("1"), "degree must be an int, got '1'"),
+    "euler_from_barcode": (lambda: fcw.euler_from_barcode([Bar(1, 0, 1)], 0), "expected a Barcode, got list"),
+    "euler_from_barcode-level": (
+        lambda: fcw.euler_from_barcode(BARCODE, 0.5),
+        "expected an exact rational, got float: 0.5",
+    ),
 }
 
 
@@ -241,3 +249,8 @@ WRONG_TYPES = {
 def test_an_entry_point_names_a_value_of_the_wrong_type(call, message):
     with pytest.raises(TypeError, match=f"^{message}$"):
         call()
+
+
+def test_a_barcode_restricted_to_a_negative_degree_is_refused():
+    with pytest.raises(ValueError, match="^degree must be nonnegative, got -1$"):
+        BARCODE.restrict(-1)

@@ -248,9 +248,49 @@ def test_many_infinite_bars_are_paired_in_sorted_order():
     )
     gap = max(abs(u - v) for pair in (births, deaths) for u, v in zip(sorted(pair[0]), sorted(pair[1])))
     assert bottleneck(left, right) == gap
-    # one kind with unequal counts leaves an infinite bar that nothing takes
+    # one kind with unequal counts leaves an infinite bar that nothing takes,
+    # and only in its own degree
     assert bottleneck(left, Barcode(right.bars[1:])) is POS_INF
     assert bottleneck(Barcode(left.bars[:-1]), right) is POS_INF
+    fewer = Barcode([*right.bars[1:], Bar(0, 0, 4)])
+    assert bottleneck(left, fewer, dim=1) is POS_INF
+    assert bottleneck(left, fewer, dim=0) == 2
+
+
+def _scale_pair(rng, nudge, a):
+    """Per side 1500 bars [b, inf) and 1500 bars [-inf, d), the right side's
+    endpoints the left's moved by up to `nudge`, and finite bars of
+    half-length above a, spaced more than 2a apart, that the right side holds
+    moved by a.  The left side also has a short bar born before the others,
+    so pairing the finite bars in sorted order costs far more than a.
+    Returns the two barcodes and the largest gap of the infinite bars'
+    sorted pairing."""
+    left, right, gap = [], [], 0
+    for kind in ("birth", "death"):
+        ends = [F(rng.randrange(60000 * q), q) for q in rng.choices((1, 7, 11), k=1500)]
+        moved = [v + F(rng.randrange(int(nudge * 7)), 7) for v in ends]
+        gap = max(gap, *(abs(u - v) for u, v in zip(sorted(ends), sorted(moved))))
+        for side, values in ((left, ends), (right, moved)):
+            side.extend(Bar(0, v, POS_INF) if kind == "birth" else Bar(0, NEG_INF, v) for v in values)
+    for k in range(40):
+        birth = F(k * 2000)
+        left.append(Bar(0, birth, birth + 1000))
+        right.append(Bar(0, birth + a, birth + a + 1000))
+    left.append(Bar(0, F(-50), F(-49)))
+    return Barcode(left), Barcode(right), gap
+
+
+def test_infinite_groups_and_finite_bars_at_scale():
+    # Bars of different kinds never match, so the distance is the max of the
+    # infinite bars' sorted gap and the finite bars' cost, exactly a: each
+    # finite bar is nearer its own shift than any other bar or the diagonal.
+    rng = random.Random(283)
+    a = F(3000, 7)
+    for nudge in (F(1000, 7), F(6000, 7)):
+        left, right, gap = _scale_pair(rng, nudge, a)
+        assert (gap < a) == (nudge < a)
+        assert bottleneck(left, right) == max(gap, a)
+        assert bottleneck(right, left, dim=0) == max(gap, a)
 
 
 def test_stability_on_perturbed_grids():
