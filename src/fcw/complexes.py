@@ -291,6 +291,11 @@ class FilteredComplex:
         """
         return MappingProxyType(dict(zip(self._ids, self._rank)))
 
+    def _filtration_order(self) -> list[int]:
+        """Positions in the filtration's (weight, dim, id) order: the positions
+        are in (dim, id) order and sorted() is stable, so a sort by rank."""
+        return sorted(range(len(self._rank)), key=self._rank.__getitem__)
+
     def euler_char_sublevel(self, level) -> int:
         """Unreduced Euler characteristic of the sublevel complex."""
         self.require_valid()

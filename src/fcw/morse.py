@@ -168,8 +168,7 @@ def canonical_linearization(x: FilteredComplex) -> Linearization:
     entries = []
     rank, dims, levels = instance(x, FilteredComplex).require_valid()._rank, x._dims, x._levels
     low = bisect_left(levels, 0, 0, len(levels) - 1)  # ranks 0 to low - 1 weigh < 0
-    # stable on the (dim, id) order of the positions: (weight, dim, id) order
-    for i in sorted(range(len(rank)), key=rank.__getitem__):
+    for i in x._filtration_order():
         r = rank[i]
         if r < 0:  # -inf
             continue

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import chain
 from math import lcm
+from operator import attrgetter, sub
 
 from ._kernels import max_bipartite_matching, reduce_pairing
 from ._record import Record, instance, integer
@@ -87,8 +89,7 @@ def barcode(x: FilteredComplex) -> Barcode:
     the columns are the complex's boundary positions, renumbered.
     """
     rank = instance(x, FilteredComplex).require_valid()._rank
-    # positions are in (dim, id) order and sorted() is stable: (rank, dim, id)
-    order = sorted(range(len(rank)), key=rank.__getitem__)
+    order = x._filtration_order()
     at = [0] * len(order)  # position -> index in the filtration order
     for j, i in enumerate(order):
         at[i] = j
@@ -120,15 +121,10 @@ def euler_from_barcode(bc: Barcode, level) -> int:
 # -- bottleneck distance ------------------------------------------------------
 
 
-def _finite_ends(bar) -> list:
-    """The endpoints of `bar` that are not -inf or +inf."""
-    return [v for v in (bar.birth, bar.death) if v is not NEG_INF and v is not POS_INF]
-
-
-def _sorted_cost(left, right) -> int:
-    """Cost of pairing two sorted lists of int tuples in order: the largest
-    gap between paired coordinates, 0 when nothing is paired."""
-    return max((abs(x - y) for u, v in zip(left, right) for x, y in zip(u, v)), default=0)
+def _sorted_cost(left, right):
+    """Cost of pairing two sorted sequences of values in order: the largest
+    gap between paired values, 0 when nothing is paired."""
+    return max(map(abs, map(sub, left, right)), default=0)
 
 
 def _box(bar, others, births, delta) -> list[int]:
@@ -140,13 +136,32 @@ def _box(bar, others, births, delta) -> list[int]:
     return [j for j in range(lo, hi) if abs(others[j][1] - d) <= delta]
 
 
-def _int_bottleneck(bars1, bars2, low) -> int:
-    """Least delta >= low at which the sorted (birth, death) int pairs admit
-    a matching of cost <= delta, every unmatched bar paying half its length
-    to the diagonal.  The candidates and their bounds: see bottleneck()."""
-    top = max(low, _sorted_cost(bars1, bars2), *[(d - b) // 2 for b, d in bars1[len(bars2):] + bars2[len(bars1):]])
+def _finite_bottleneck(left, right, low) -> Fraction:
+    """Least delta >= low at which the sorted finite bars `left` and `right`
+    admit a matching of cost <= delta, every unmatched bar paying half its
+    length to the diagonal.
+
+    Bars and low are scaled by S = 2 * lcm(their denominators) to even ints
+    in the same order, so half-lengths are ints too.  Pairing the bars in
+    sorted order and sending the rest to the diagonal is a matching, so with
+    low it bounds the answer by U.  A bar is forced at delta when its
+    half-length exceeds delta, and a matching within delta needs a pair only
+    while one of its bars is forced.  So the answer is among low, U, the
+    half-lengths and the costs of pairs within min(half-length, U) of a bar,
+    and bisection over those in [low, U] finds the least delta at which, by
+    the Mendelsohn-Dulmage theorem, one matching of cost <= delta covers
+    every bar1 longer than 2*delta and another covers every such bar2.
+    """
+    scale = 2 * lcm(low.denominator, *{v.denominator for bar in left + right for v in (bar.birth, bar.death)})
+
+    def scaled(v) -> int:
+        return v.numerator * (scale // v.denominator)
+
+    bars1, bars2 = ([(scaled(bar.birth), scaled(bar.death)) for bar in bars] for bars in (left, right))
+    low, paired = scaled(low), _sorted_cost(chain.from_iterable(bars1), chain.from_iterable(bars2))
+    top = max(low, paired, *[(d - b) // 2 for b, d in bars1[len(bars2):] + bars2[len(bars1):]])
     if low == top:
-        return top
+        return Fraction(top, scale)
     # each side against the other side's bars, sorted by birth
     directions = [(bars1, bars2, [b for b, _ in bars2]), (bars2, bars1, [b for b, _ in bars1])]
     candidates = {low, top}
@@ -175,7 +190,7 @@ def _int_bottleneck(bars1, bars2, low) -> int:
         return True
 
     # the least feasible candidate; the largest is feasible, so never tested
-    return ordered[bisect_left(ordered, True, hi=len(ordered) - 1, key=feasible)]
+    return Fraction(ordered[bisect_left(ordered, True, hi=len(ordered) - 1, key=feasible)], scale)
 
 
 def bottleneck(b1: Barcode, b2: Barcode, dim: int | None = None):
@@ -192,43 +207,27 @@ def bottleneck(b1: Barcode, b2: Barcode, dim: int | None = None):
     so the distance is the max over the (degree, kind) groups.  An infinite
     group is +inf unless both sides hold the same number of its bars; then
     it is a bijection on one finite coordinate, where sorted order costs
-    least, and it costs the largest gap of the sorted pairing.  L is the
-    most an infinite group costs.
-
-    The finite bars of each degree are one integer problem, their endpoints
-    scaled by S = 2 * lcm(denominators) to even ints.  Pairing them in
-    sorted order and sending the rest to the diagonal is a matching, so with
-    L it bounds the answer by U.  A bar is forced at delta when its
-    half-length exceeds delta, and a matching within delta needs a pair
-    only while one of its bars is forced.  So the answer is among L, U, the
-    half-lengths and the costs of pairs within min(half-length, U) of a
-    bar, and bisection over those in [L, U] finds the least delta at which,
-    by the Mendelsohn-Dulmage theorem, one matching of cost <= delta covers
-    every bar1 longer than 2*delta and another covers every such bar2.  A
-    bar's edges come from a delta-box around it, found by bisection over
-    the other side's sorted births.
+    least, and it costs the largest gap of the sorted pairing.  Each
+    degree's finite bars are searched from L, the most those groups cost.
     """
     for bc in (b1, b2):
         if not isinstance(bc, Barcode):
             raise TypeError(f"bottleneck compares two Barcodes, got {type(bc).__name__}")
     if dim is not None:
         b1, b2 = b1.restrict(dim), b2.restrict(dim)
-    sides = (b1.bars, b2.bars)
-    scale = 2 * lcm(*{v.denominator for bars in sides for bar in bars for v in _finite_ends(bar)})
-    # (degree, -inf birth, +inf death) -> each side's bars, as tuples of their scaled finite endpoints
+    # (degree, -inf birth, +inf death) -> each side's bars, in Barcode order
     groups = ({}, {})
-    for bars, group in zip(sides, groups):
-        for bar in bars:
-            kind = (bar.dim, bar.birth is NEG_INF, bar.death is POS_INF)
-            group.setdefault(kind, []).append(tuple(v.numerator * (scale // v.denominator) for v in _finite_ends(bar)))
-    low, searches = 0, []
+    for bc, group in zip((b1, b2), groups):
+        for bar in bc.bars:
+            group.setdefault((bar.dim, bar.birth is NEG_INF, bar.death is POS_INF), []).append(bar)
+    low, searches = Fraction(0), []
     for kind in groups[0].keys() | groups[1].keys():
-        # sorted: a Barcode keeps its bars sorted, and scaling keeps their order
         left, right = (group.get(kind, []) for group in groups)
-        if kind[1] or kind[2]:
-            if len(left) != len(right):
-                return POS_INF
-            low = max(low, _sorted_cost(left, right))
-        else:
+        if not (kind[1] or kind[2]):
             searches.append((left, right))
-    return Fraction(max((_int_bottleneck(left, right, low) for left, right in searches), default=low), scale)
+        elif len(left) != len(right):
+            return POS_INF
+        elif not (kind[1] and kind[2]):  # bars [-inf, inf) pair at 0, the others on their finite end
+            end = attrgetter("death" if kind[1] else "birth")
+            low = max(low, _sorted_cost(map(end, left), map(end, right)))
+    return max((_finite_bottleneck(left, right, low) for left, right in searches), default=low)

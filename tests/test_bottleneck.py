@@ -200,11 +200,11 @@ def test_matches_reference_on_finite_bars_only():
 # -- exact identities at scale ------------------------------------------------
 
 
-def shifted(bc, a):
-    """Every finite endpoint of bc moved by a."""
+def affine(bc, k, a):
+    """Every finite endpoint v of bc moved to k*v + a."""
 
     def move(v):
-        return v if v is NEG_INF or v is POS_INF else v + a
+        return v if v is NEG_INF or v is POS_INF else k * v + a
 
     return Barcode(Bar(b.dim, move(b.birth), move(b.death)) for b in bc)
 
@@ -219,7 +219,7 @@ def test_shift_moves_grid_barcodes_by_exactly_the_shift():
         bc = barcode(x)
         for a in (F(1, 3), F(-5, 2), F(7)):
             moved = barcode(x.shift(a))
-            assert moved == shifted(bc, a)
+            assert moved == affine(bc, 1, a)
             assert bottleneck(bc, moved) == abs(a)
 
 
@@ -229,8 +229,62 @@ def test_shift_moves_overlapping_bars_by_exactly_the_shift():
     bars = [Bar(0, F(rng.randrange(400), 4), F(rng.randrange(4000, 4400), 4)) for _ in range(300)]
     bc = Barcode([*bars, Bar(0, F(3), POS_INF)])
     a = F(5, 4)
-    assert bottleneck(bc, shifted(bc, a)) == a
-    assert bottleneck(shifted(bc, a), bc) == a
+    assert bottleneck(bc, affine(bc, 1, a)) == a
+    assert bottleneck(affine(bc, 1, a), bc) == a
+
+
+def test_distance_scales_with_the_barcodes():
+    # d(kA, kB) = k d(A, B) for k > 0: every pair and diagonal cost scales
+    # by k, so an optimal matching stays optimal; +inf stays +inf
+    rng = random.Random(307)
+    for unequal_kind in (None, None, *KINDS[1:]):
+        left, right = mid_size_pair(rng, (0, 1), unequal_kind)
+        d = bottleneck(left, right)
+        for p in (2, 3, 31, 101):
+            for k in (F(1, p), F(p)):
+                expected = d if d is POS_INF else k * d
+                assert bottleneck(affine(left, k, 0), affine(right, k, 0)) == expected
+
+
+def _primes(n):
+    """The first n primes."""
+    primes = []
+    k = 2
+    while len(primes) < n:
+        if all(k % p for p in primes if p * p <= k):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+def test_each_degree_scales_only_its_own_finite_bars():
+    # Degree 0: 1000 bars [k/p, inf) a side, each p a prime of its own, so
+    # their common denominator has thousands of digits.  Degree 1: integer
+    # bars [10j, 10j + 3) against [10j + 2, 10j + 5), each nearer the
+    # diagonal (3/2) than its partner (2).  The whole distance is the
+    # degree-0 sorted gap, the floor of the degree-1 search.
+    rng = random.Random(311)
+    primes = _primes(2000)
+    births = [sorted(F(rng.randrange(1000 * p), p) for p in side) for side in (primes[:1000], primes[1000:])]
+    gap = max(abs(u - v) for u, v in zip(*births))
+    left, right = (
+        Barcode([*(Bar(0, b, POS_INF) for b in ends), *(Bar(1, 10 * j + lag, 10 * j + lag + 3) for j in range(40))])
+        for ends, lag in zip(births, (0, 2))
+    )
+    assert bottleneck(left, right, dim=0) == gap
+    assert bottleneck(left, right, dim=1) == F(3, 2) < gap
+    assert bottleneck(left, right) == max(bottleneck(left, right, dim=0), bottleneck(left, right, dim=1))
+    assert bottleneck(right, left) == gap
+
+
+def test_the_floor_of_a_finite_search_keeps_its_denominator():
+    # L = 1/7 comes from degree 0, and degree 1's bars have denominator 1:
+    # the search in degree 1 starts at 1/7 and must scale it exactly
+    finite = [Bar(1, 0, 4), Bar(1, 2, 9)]
+    left = Barcode([Bar(0, 0, POS_INF), *finite])
+    right = Barcode([Bar(0, F(1, 7), POS_INF), *finite])
+    assert bottleneck(left, right) == F(1, 7)
+    assert bottleneck(left, right, dim=1) == 0
 
 
 def test_many_infinite_bars_are_paired_in_sorted_order():
