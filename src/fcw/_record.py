@@ -1,5 +1,6 @@
-"""The immutable-record base shared by fcw's value objects, and the
-argument gates every value object and entry point checks its arguments with.
+"""The immutable-record base of fcw's value objects, the infinities and
+`Polynomial` included, and the argument gates for ints, cell ids and
+instances; those for exact values are in `rationals`.
 
 ``integer(value, what, nonnegative=False)`` passes an int that is not a
 bool, raising ``TypeError: {what} must be an int, got {value!r}``

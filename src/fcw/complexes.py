@@ -16,16 +16,10 @@ from types import MappingProxyType
 
 from ._record import Record, cell_id, instance, integer
 from .errors import ValidationError
-from .rationals import NEG_INF, as_fraction
+from .rationals import NEG_INF, as_fraction, as_weight
 
 # the characters of [A-Za-z0-9_.*-]: a set test costs no regular-expression compile at import
 _ID_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.*-")
-
-
-def _as_weight(w):
-    if w is NEG_INF:
-        return w
-    return as_fraction(w)
 
 
 def _rank_weights(weights) -> tuple[tuple[int, ...], tuple]:
@@ -64,7 +58,7 @@ class Cell(Record):
         if isinstance(boundary, (str, Mapping)):
             raise TypeError(f"cell boundary must be a collection of cell ids, got {boundary!r}")
         id, dim = cell_id(id), integer(dim, "cell dimension")
-        super().__init__(id, dim, _as_weight(weight), frozenset(map(cell_id, boundary)))
+        super().__init__(id, dim, as_weight(weight), frozenset(map(cell_id, boundary)))
 
     @property
     def eternal(self) -> bool:
@@ -274,7 +268,7 @@ class FilteredComplex:
 
     def sublevel(self, level) -> FilteredComplex:
         """The subcomplex of cells with weight <= level; weights retained."""
-        top = bisect_right(self._levels, _as_weight(level), 0, len(self._levels) - 1)  # ranks below weigh <= level
+        top = bisect_right(self._levels, as_weight(level), 0, len(self._levels) - 1)  # ranks below weigh <= level
         kept = [i for i, r in enumerate(self.require_valid()._rank) if r < top]  # the basepoint weighs -inf
         # a kept cell's boundary cells weigh no more than it, so they are kept too
         return FilteredComplex._build(*self._lists(self._ids, kept, self._dims), self._basepoint, valid=True)
@@ -299,7 +293,7 @@ class FilteredComplex:
     def euler_char_sublevel(self, level) -> int:
         """Unreduced Euler characteristic of the sublevel complex."""
         self.require_valid()
-        top = bisect_right(self._levels, _as_weight(level), 0, len(self._levels) - 1)
+        top = bisect_right(self._levels, as_weight(level), 0, len(self._levels) - 1)
         return sum((-1) ** d for d, r in zip(self._dims, self._rank) if r < top)
 
     # -- reweighting --------------------------------------------------------
@@ -351,7 +345,7 @@ def point(basepoint_id: str = "pt") -> FilteredComplex:
 def sphere(k: int, level) -> FilteredComplex:
     """Basepoint plus a single k-cell appearing at `level` (boundary zero)."""
     k = integer(k, "sphere dimension", nonnegative=True)
-    return FilteredComplex._build(["pt", "c1"], [0, k], [NEG_INF, _as_weight(level)], [(), ()], "pt")
+    return FilteredComplex._build(["pt", "c1"], [0, k], [NEG_INF, as_weight(level)], [(), ()], "pt")
 
 
 # -- binary constructions: each operand passes require_valid() first ----------

@@ -16,12 +16,7 @@ from operator import attrgetter, sub
 from ._kernels import max_bipartite_matching, reduce_pairing
 from ._record import Record, instance, integer
 from .complexes import FilteredComplex
-from .rationals import NEG_INF, POS_INF, as_fraction, format_extended
-
-
-def _extended(v):
-    """`v` if it is -inf or +inf, else `v` as a Fraction (see as_fraction)."""
-    return v if v is NEG_INF or v is POS_INF else as_fraction(v)
+from .rationals import NEG_INF, POS_INF, as_extended, as_weight, format_extended
 
 
 class Bar(Record):
@@ -33,7 +28,7 @@ class Bar(Record):
 
     def __init__(self, dim: int, birth, death):
         dim = integer(dim, "bar degree", nonnegative=True)
-        birth, death = map(_extended, (birth, death))
+        birth, death = map(as_extended, (birth, death))
         super().__init__(dim, birth, death)
         if not birth < death:
             raise ValueError(f"bar needs birth < death, got [{birth}, {death})")
@@ -113,8 +108,9 @@ def barcode(x: FilteredComplex) -> Barcode:
 
 
 def euler_from_barcode(bc: Barcode, level) -> int:
-    """Alternating count of bars alive at `level` (birth <= level < death)."""
-    bc, level = instance(bc, Barcode), _extended(level)
+    """Alternating count of bars alive at `level` (birth <= level < death);
+    `level` is -inf or a rational, as for FilteredComplex.sublevel."""
+    bc, level = instance(bc, Barcode), as_weight(level)
     return sum((-1) ** b.dim for b in bc.bars if b.birth <= level and level < b.death)
 
 

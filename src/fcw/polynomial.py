@@ -10,13 +10,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from ._record import Record
 from .errors import NonIntegerCoefficient
-from .rationals import NEG_INF, as_fraction, format_extended
+from .rationals import NEG_INF, as_fraction, as_weight, format_extended
 
 _ZERO = Fraction(0)
 
 
-class Polynomial:
+class Polynomial(Record):
     """Immutable element of the exponent ring; supports +, -, * and exact ==."""
 
     __slots__ = ("_terms",)
@@ -35,7 +36,7 @@ class Polynomial:
                 coeff = as_fraction(coeff)
             key = (exp.numerator, exp.denominator)
             sums[key] = sums.get(key, 0) + coeff
-        self._terms = {Fraction(*k): as_fraction(c) for k, c in sums.items() if c != 0}
+        super().__init__({Fraction(*k): as_fraction(c) for k, c in sums.items() if c != 0})
 
     @classmethod
     def zero(cls) -> Polynomial:
@@ -60,12 +61,8 @@ class Polynomial:
     def __bool__(self):
         return bool(self._terms)
 
-    def __eq__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self._terms == other._terms
-
     def __hash__(self):
+        # a dict field is not hashable
         return hash(frozenset(self._terms.items()))
 
     def __add__(self, other):
@@ -107,8 +104,7 @@ class Polynomial:
 
     def truncate(self, upto) -> Polynomial:
         """Keep exactly the terms with exponent <= upto (-inf keeps nothing)."""
-        if upto is not NEG_INF:
-            upto = as_fraction(upto)
+        upto = as_weight(upto)
         return Polynomial((e, c) for e, c in self._terms.items() if e <= upto)
 
     def mod2(self) -> Polynomial:

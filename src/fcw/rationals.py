@@ -1,8 +1,10 @@
-"""Exact extended rationals: Fraction values plus orderable -inf / +inf sentinels.
+"""Exact extended rationals: Fraction values, orderable -inf / +inf
+sentinels, and the gates every exact value passes.
 
-Cell weights live in {-inf} + Q, barcode deaths in Q + {+inf}.  The sentinels
-compare correctly against Fraction and int but deliberately support no
-arithmetic, so accidental mixing fails loudly.
+as_fraction passes an int or a Fraction, as_weight also -inf (a weight or a
+level), as_extended both infinities (a bar's endpoint); each raises TypeError
+on anything else.  The sentinels compare correctly against Fraction and int
+but support no arithmetic, so accidental mixing fails loudly.
 """
 
 from __future__ import annotations
@@ -12,24 +14,17 @@ import re
 from decimal import Decimal  # loaded by fractions already: no start-up cost
 from fractions import Fraction
 
+from ._record import Record
 
-class _Infinity:
+
+class _Infinity(Record):
     """-inf (sign -1) or +inf (sign 1): below, or above, every int and Fraction.
 
-    Immutable, with one instance per sign; other operands are not ordered
-    against it (TypeError).
+    One instance per sign; other operands are not ordered against it
+    (TypeError).
     """
 
     __slots__ = ("_sign",)
-
-    def __init__(self, sign: int):
-        object.__setattr__(self, "_sign", sign)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{self!r} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{self!r} is immutable")
 
     def _ordered(op):
         # an extended value orders as its sign does: -1, 0 if finite, or 1
@@ -66,6 +61,16 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}: {x!r}")
 
 
+def as_weight(x):
+    """`x` if it is -inf, else `x` as a Fraction: a cell's weight or a level."""
+    return x if x is NEG_INF else as_fraction(x)
+
+
+def as_extended(x):
+    """`x` if it is -inf or +inf, else `x` as a Fraction: a bar's endpoint."""
+    return x if x is NEG_INF or x is POS_INF else as_fraction(x)
+
+
 # An integer, p/q or a finite decimal, in ASCII digits: no exponent, no
 # underscores, and at most _MAX_LENGTH characters.  A construction's weight can
 # be longer: a filtered product adds two weights, and shift adds its amount.
@@ -92,6 +97,7 @@ def format_extended(v) -> str:
     """An int, a Fraction in lowest terms, `-inf` or `inf`, exact at any
     length: Decimal converts an int past the 4300 digits str() stops at.
     parse_rational reads back every finite output of at most _MAX_LENGTH characters."""
+    v = as_extended(v)
     if v is NEG_INF or v is POS_INF:
         return repr(v)
     text = str(Decimal(v.numerator))

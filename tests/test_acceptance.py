@@ -141,13 +141,16 @@ def test_criterion_5_k_class_laws():
 
 
 def test_criterion_6_homology_euler_consistency():
-    with criterion(6, "barcode Euler equals cellular Euler at all spectral points"):
+    with criterion(6, "barcode Euler equals cellular Euler at, between and below the spectral points"):
         rng = random.Random(3000)
         subjects = fixture_complexes() + [random_complex(rng) for _ in range(50)]
         for x in subjects:
             bc = barcode(x)
             base = x.euler_char_sublevel(NEG_INF)
-            for level in [NEG_INF] + x.spectrum():
+            spectrum = x.spectrum()
+            between = [(a + b) / 2 for a, b in zip(spectrum, spectrum[1:])]
+            below = [spectrum[0] - 1] if spectrum else []
+            for level in [NEG_INF, *below, *spectrum, *between]:
                 cellular = x.euler_char_sublevel(level)
                 assert euler_from_barcode(bc, level) == cellular
                 assert euler_polynomial(x, upto=level).at_one() == cellular - base

@@ -96,6 +96,7 @@ VALUES = [
     (Linearization, "entries", ([(0, 1), (1, F(1, 2))],)),
     (LinearizationStats, "count", (POLY, F(1), F(1))),
     (CommandResult, "exit_code", (0, "ok\n", "")),
+    (Polynomial, "_terms", ([(1, 1), (F(1, 2), -2)],)),
 ]
 
 
@@ -242,6 +243,18 @@ WRONG_TYPES = {
         lambda: fcw.euler_from_barcode(BARCODE, 0.5),
         "expected an exact rational, got float: 0.5",
     ),
+    # a level is a weight, so +inf is refused as sublevel refuses it
+    "euler_from_barcode-inf": (
+        lambda: fcw.euler_from_barcode(BARCODE, POS_INF),
+        "expected an exact rational, got _Infinity: inf",
+    ),
+    **{
+        f"format_extended-{value!r}": (
+            lambda value=value: fcw.format_extended(value),
+            f"expected an exact rational, got {type(value).__name__}: {value!r}",
+        )
+        for value in (0.5, True, "1", None)
+    },
 }
 
 
