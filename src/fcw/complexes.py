@@ -14,6 +14,7 @@ from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from types import MappingProxyType
 
+from . import _record
 from ._record import Record, cell_id, instance, integer
 from .errors import ValidationError
 from .rationals import NEG_INF, as_fraction, as_weight
@@ -41,11 +42,18 @@ def _rank_weights(weights) -> tuple[tuple[int, ...], tuple]:
 
 
 def _order(primary, secondary) -> list[int]:
-    """Positions sorted by (primary[i], secondary[i]): two stable sorts,
-    without a key tuple per position."""
+    """Positions sorted by (primary[i], secondary[i]): two stable sorts, no key tuple per position."""
     order = sorted(range(len(primary)), key=secondary.__getitem__)
     order.sort(key=primary.__getitem__)
     return order
+
+
+def _inverse(order, n) -> list[int]:
+    """at[order[j]] == j: where each position of range(n) listed in `order` goes."""
+    at = [0] * n
+    for j, i in enumerate(order):
+        at[i] = j
+    return at
 
 
 class Cell(Record):
@@ -84,7 +92,7 @@ class FilteredComplex:
     no cell gets position ``len(self) + k``, ``k`` indexing the sorted
     ``_unknown`` ids, so validate() can name it.  Validity and ``Cell``
     records are made on first use; the views and constructions, whose
-    operands pass require_valid(), mark their result valid by construction.
+    operands pass require_valid(), build their valid result from positions.
     The other modules of fcw read the tuples.
     """
 
@@ -102,30 +110,21 @@ class FilteredComplex:
         self._fill(ids, dims, weights, [c.boundary for c in cells], cell_id(basepoint))
 
     @classmethod
-    def _build(cls, ids, dims, weights, boundaries, basepoint, valid=None) -> FilteredComplex:
-        """A complex from parallel lists in any order, each boundary given as
-        its cells' distinct ids: the constructor behind every complex.
-        `valid=True` is for a result that is valid by construction."""
+    def _build(cls, ids, dims, weights, boundaries, basepoint, positions=False) -> FilteredComplex:
+        """The constructor behind every complex: parallel lists in any order, each
+        boundary its cells' distinct ids or, with `positions` (a construction's
+        result, valid by construction), their positions in the lists."""
         x = cls.__new__(cls)
-        x._fill(ids, dims, weights, boundaries, basepoint)
-        x._valid = valid
+        x._fill(ids, dims, weights, boundaries, basepoint, positions)
         return x
 
-    def _lists(self, names, keep, dims, drop=None) -> tuple[list, list, list, list]:
-        """The inverse of _build: parallel ids, dims, weights and boundary-id
-        lists of the cells at positions `keep`, position p named names[p] and
-        of dimension dims[p], with position `drop` left out of every boundary."""
-        levels, rank, bounds = self._levels, self._rank, self._bounds
-        return (
-            list(map(names.__getitem__, keep)),
-            list(map(dims.__getitem__, keep)),
-            [levels[rank[i]] for i in keep],
-            [[names[r] for r in bounds[i] if r != drop] for i in keep],
-        )
+    def _lists(self, keep, dims) -> tuple[list, list, list]:
+        """_build's ids, dims and weights of the cells at positions `keep`, position p of dimension dims[p]."""
+        weights = map(self._levels.__getitem__, map(self._rank.__getitem__, keep))
+        return list(map(self._ids.__getitem__, keep)), list(map(dims.__getitem__, keep)), list(weights)
 
-    def _fill(self, ids, dims, weights, boundaries, basepoint):
-        """Set the tuples from parallel lists; each weight is a Fraction or
-        NEG_INF and each dimension an int."""
+    def _fill(self, ids, dims, weights, boundaries, basepoint, positions=False):
+        """_build's work on self; each weight is a Fraction or NEG_INF and each dimension an int."""
         n = len(ids)
         order = _order(dims, ids)
         self._ids = tuple(map(ids.__getitem__, order))
@@ -137,15 +136,15 @@ class FilteredComplex:
         self._dims = tuple(map(dims.__getitem__, order))
         self._rank, self._levels = _rank_weights(list(map(weights.__getitem__, order)))
         boundaries = list(map(boundaries.__getitem__, order))
+        get = (_inverse(order, n) if positions else index).__getitem__  # list position or id -> canonical position
         self._unknown = ()
         try:
-            self._bounds = tuple([tuple(sorted(map(index.__getitem__, refs))) for refs in boundaries])
-        except KeyError:
+            self._bounds = tuple([tuple(sorted(map(get, refs))) for refs in boundaries])
+        except KeyError:  # only named input can name an unknown id
             self._unknown = tuple(sorted(set().union(*boundaries) - index.keys()))
             index = {**index, **dict(zip(self._unknown, range(n, n + len(self._unknown))))}
             self._bounds = tuple([tuple(sorted(map(index.__getitem__, refs))) for refs in boundaries])
-        self._basepoint = basepoint
-        self._valid = self._cells = None
+        self._basepoint, self._valid, self._cells = basepoint, positions or None, None
 
     def _reweighted(self, rank, levels) -> FilteredComplex:
         """The same cells with new ranks and levels that keep the order of
@@ -153,8 +152,7 @@ class FilteredComplex:
         x = FilteredComplex.__new__(FilteredComplex)
         for name in self.__slots__:
             setattr(x, name, getattr(self, name))
-        x._rank, x._levels = rank, levels
-        x._cells = None
+        x._rank, x._levels, x._cells = rank, levels, None
         return x
 
     @property
@@ -165,11 +163,13 @@ class FilteredComplex:
     def cells(self) -> tuple[Cell, ...]:
         """All cells sorted by (dim, id) -- the canonical enumeration order."""
         if self._cells is None:
-            self._cells = tuple(map(Cell, *self._lists(self._ids + self._unknown, range(len(self)), self._dims)))
+            names = self._ids + self._unknown
+            bounds = [[names[r] for r in bound] for bound in self._bounds]
+            self._cells = tuple(map(Cell, *self._lists(range(len(self)), self._dims), bounds))
         return self._cells
 
     def cell(self, cell_id: str) -> Cell:
-        return self.cells[self._index[cell_id]]
+        return self.cells[self._index[_record.cell_id(cell_id)]]
 
     def ids(self) -> tuple[str, ...]:
         return self._ids
@@ -271,7 +271,9 @@ class FilteredComplex:
         top = bisect_right(self._levels, as_weight(level), 0, len(self._levels) - 1)  # ranks below weigh <= level
         kept = [i for i, r in enumerate(self.require_valid()._rank) if r < top]  # the basepoint weighs -inf
         # a kept cell's boundary cells weigh no more than it, so they are kept too
-        return FilteredComplex._build(*self._lists(self._ids, kept, self._dims), self._basepoint, valid=True)
+        at = _inverse(kept, len(self))
+        bounds = [[at[r] for r in self._bounds[i]] for i in kept]
+        return FilteredComplex._build(*self._lists(kept, self._dims), bounds, self._basepoint, positions=True)
 
     def spectrum(self) -> list[Fraction]:
         """Sorted distinct finite weights among the cells."""
@@ -317,11 +319,11 @@ class FilteredComplex:
     def suspend(self) -> FilteredComplex:
         """Raise every non-basepoint cell one dimension, same weights."""
         at = self.require_valid()._index[self._basepoint]
-        dims = [d + 1 for d in self._dims]
-        dims[at] = 0
+        dims = [d + (i != at) for i, d in enumerate(self._dims)]  # the basepoint's stays 0
         # the basepoint's own boundary is empty; the other cells drop it from theirs,
         # which keeps each boundary one dimension down and the parity of ∂∂
-        return FilteredComplex._build(*self._lists(self._ids, range(len(self)), dims, at), self._basepoint, valid=True)
+        bounds = [[r for r in bound if r != at] for bound in self._bounds]
+        return FilteredComplex._build(*self._lists(range(len(self)), dims), bounds, self._basepoint, positions=True)
 
     # -- renaming -----------------------------------------------------------
 
@@ -330,8 +332,9 @@ class FilteredComplex:
         new name that breaks the id grammar raises ValidationError."""
         instance(mapping, Mapping)
         names = [cell_id(mapping.get(name, name)) for name in self.require_valid()._ids]
-        lists = self._lists(names, range(len(self)), self._dims)
-        return FilteredComplex._build(*lists, mapping.get(self._basepoint, self._basepoint)).require_valid()
+        _, dims, weights = self._lists(range(len(self)), self._dims)
+        bounds = [[names[r] for r in bound] for bound in self._bounds]
+        return FilteredComplex._build(names, dims, weights, bounds, names[self._index[self._basepoint]]).require_valid()
 
 
 # -- generators --------------------------------------------------------------
@@ -350,7 +353,7 @@ def sphere(k: int, level) -> FilteredComplex:
 
 # -- binary constructions: each operand passes require_valid() first ----------
 
-# Each result is valid by construction, so it is built marked valid: prefixed
+# Each result is valid by construction, so it is built from positions: prefixed
 # and pair ids keep the id grammar, and the product's mod-2 boundary, and its
 # quotient by the wedge in the smash, square to zero and keep weights monotone.
 
@@ -364,65 +367,59 @@ def wedge(x: FilteredComplex, y: FilteredComplex) -> FilteredComplex:
     """One-point union: operand cells prefixed `l.` / `r.`, basepoints merged."""
     lists = ["pt"], [0], [NEG_INF], [()]
     for prefix, operand in (("l.", _operand(x)), ("r.", _operand(y))):
-        bp = operand._index[operand.basepoint]
-        names = [prefix + name for name in operand._ids]
-        names[bp] = "pt"
-        keep = [*range(bp), *range(bp + 1, len(operand))]
-        for out, part in zip(lists, operand._lists(names, keep, operand._dims)):
+        bp, n, base = operand._index[operand.basepoint], len(operand), len(lists[0])
+        keep = [*range(bp), *range(bp + 1, n)]
+        at = [*range(base, base + bp), 0, *range(base + bp, base + n - 1)]  # the basepoint goes to pt
+        ids, dims, weights = operand._lists(keep, operand._dims)
+        bounds = [[at[r] for r in operand._bounds[i]] for i in keep]
+        for out, part in zip(lists, ([prefix + name for name in ids], dims, weights, bounds)):
             out += part
-    return FilteredComplex._build(*lists, "pt", valid=True)
+    return FilteredComplex._build(*lists, "pt", positions=True)
 
 
 def _pair_weight(wa, wb, filtered: bool):
-    if filtered:
-        # weights add, -inf absorbing
-        if wa is NEG_INF or wb is NEG_INF:
-            return NEG_INF
-        return wa + wb
-    return max(wa, wb)  # NEG_INF orders below every weight
+    if not filtered:
+        return max(wa, wb)  # NEG_INF orders below every weight
+    return NEG_INF if wa is NEG_INF or wb is NEG_INF else wa + wb  # weights add, -inf absorbing
 
 
 def _pair_ids(left, right) -> list[str]:
     """Deterministic unique ids for the pairs of two id lists, row by row:
     `l.<a>*r.<b>` plus a collision guard."""
-    used = set()
-    names = []
+    names = {}  # the ids made so far, in order
     for a in left:
         for b in right:
             base = name = f"l.{a}*r.{b}"
             k = 2
-            while name in used:
+            while name in names:
                 name = f"{base}*{k}"
                 k += 1
-            used.add(name)
-            names.append(name)
-    return names
+            names[name] = None
+    return list(names)
 
 
 def _pair_cells(x, y, skip_x, skip_y, filtered):
-    """Parallel ids, dims, weights and boundaries of the pairs of cells of the
-    valid complexes x and y, leaving out cell `skip_x` of x and `skip_y` of y
-    (positions, or None) as pair members and as boundary cells."""
+    """Parallel ids, dims, weights and boundary positions of the pairs of cells
+    of the valid complexes x and y, leaving out cell `skip_x` of x and `skip_y`
+    of y (positions, or None) as pair members and as boundary cells."""
     keep_x = [i for i in range(len(x)) if i != skip_x]
     keep_y = [j for j in range(len(y)) if j != skip_y]
     m = len(keep_y)
-    at_x, at_y = dict(zip(keep_x, range(len(keep_x)))), dict(zip(keep_y, range(m)))
+    at_x, at_y = _inverse(keep_x, len(x)), _inverse(keep_y, len(y))
     # a pair's boundary: (boundary of its x cell) x its y cell, and its x cell x (boundary
     # of its y cell); the two halves share no cell, as a boundary cell is one dimension down
     down_x = [[at_x[a] * m for a in x._bounds[i] if a != skip_x] for i in keep_x]
     down_y = [[at_y[b] for b in y._bounds[j] if b != skip_y] for j in keep_y]
     ids = _pair_ids(map(x._ids.__getitem__, keep_x), list(map(y._ids.__getitem__, keep_y)))
     rank_x, rank_y = x._rank, y._rank
-    sums = {}  # (rank in x, rank in y) -> weight: one object per distinct pair of weights
+    # (rank in x, rank in y) -> weight: one object per distinct pair of weights
+    sums = {(a, b): _pair_weight(x._levels[a], y._levels[b], filtered) for a in {*rank_x} for b in {*rank_y}}
     dims, weights, boundaries = [], [], []
     for p, i in enumerate(keep_x):
         for q, j in enumerate(keep_y):
-            key = rank_x[i], rank_y[j]
-            if key not in sums:
-                sums[key] = _pair_weight(x._levels[key[0]], y._levels[key[1]], filtered)
             dims.append(x._dims[i] + y._dims[j])
-            weights.append(sums[key])
-            boundaries.append([ids[a + q] for a in down_x[p]] + [ids[p * m + b] for b in down_y[q]])
+            weights.append(sums[rank_x[i], rank_y[j]])
+            boundaries.append([a + q for a in down_x[p]] + [p * m + b for b in down_y[q]])
     return ids, dims, weights, boundaries
 
 
@@ -430,11 +427,12 @@ def product(x: FilteredComplex, y: FilteredComplex, filtered: bool = False) -> F
     """Cellwise product; weights take the max (naive) or the sum (filtered)."""
     ids, dims, weights, boundaries = _pair_cells(_operand(x), _operand(y), None, None, filtered)
     basepoint = ids[x._index[x.basepoint] * len(y) + y._index[y.basepoint]]
-    return FilteredComplex._build(ids, dims, weights, boundaries, basepoint, valid=True)
+    return FilteredComplex._build(ids, dims, weights, boundaries, basepoint, positions=True)
 
 
 def smash(x: FilteredComplex, y: FilteredComplex, filtered: bool = False) -> FilteredComplex:
     """Product with the wedge collapsed: only pairs of non-basepoint cells survive."""
     skip_x, skip_y = _operand(x)._index[x.basepoint], _operand(y)._index[y.basepoint]
-    ids, dims, weights, boundaries = _pair_cells(x, y, skip_x, skip_y, filtered)
-    return FilteredComplex._build(["pt", *ids], [0, *dims], [NEG_INF, *weights], [(), *boundaries], "pt", valid=True)
+    ids, dims, weights, bounds = _pair_cells(x, y, skip_x, skip_y, filtered)
+    # pt goes last, so that the pairs keep the positions their boundaries hold
+    return FilteredComplex._build([*ids, "pt"], [*dims, 0], [*weights, NEG_INF], [*bounds, ()], "pt", positions=True)

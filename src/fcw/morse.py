@@ -83,7 +83,7 @@ def morse_complex(datum: MorseDatum, boundaries=None) -> FilteredComplex:
 
     Cells are named c1, c2, ... in (value, index) order; `boundaries`
     optionally maps a cell id to the ids its attaching sphere runs over
-    (a list of ids, or a map id -> integer coefficient reduced mod 2); any
+    (a list of distinct ids, or a map id -> integer coefficient reduced mod 2); any
     other `boundaries` or chain raises ParseError, naming the chain's cell.
     """
     points = instance(datum, MorseDatum).points
@@ -117,6 +117,10 @@ def _normalise_boundaries(boundaries) -> dict[str, frozenset]:
             raise ParseError(f"boundaries: cell id must be a string, got {cell_id!r}")
         if isinstance(chain, list) and all(isinstance(ref, str) for ref in chain):
             out[cell_id] = frozenset(chain)
+            if len(out[cell_id]) < len(chain):  # a list is a set of ids, not a chain to reduce mod 2
+                ordered = sorted(chain)
+                twice = next(a for a, b in zip(ordered, ordered[1:]) if a == b)
+                raise ParseError(f"boundary of cell {cell_id} names {twice} twice")
         elif isinstance(chain, dict) and all(isinstance(k, str) and type(v) is int for k, v in chain.items()):
             out[cell_id] = frozenset(k for k, v in chain.items() if v % 2)
         else:

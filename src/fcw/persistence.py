@@ -15,7 +15,7 @@ from operator import attrgetter, sub
 
 from ._kernels import max_bipartite_matching, reduce_pairing
 from ._record import Record, instance, integer
-from .complexes import FilteredComplex
+from .complexes import FilteredComplex, _inverse
 from .rationals import NEG_INF, POS_INF, as_extended, as_weight, format_extended
 
 
@@ -85,9 +85,7 @@ def barcode(x: FilteredComplex) -> Barcode:
     """
     rank = instance(x, FilteredComplex).require_valid()._rank
     order = x._filtration_order()
-    at = [0] * len(order)  # position -> index in the filtration order
-    for j, i in enumerate(order):
-        at[i] = j
+    at = _inverse(order, len(order))  # position -> index in the filtration order
     columns = [[at[r] for r in bound] for bound in map(x._bounds.__getitem__, order)]
     ranks = list(map(rank.__getitem__, order))
     dims = [x._dims[i] for i in order]

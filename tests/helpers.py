@@ -200,6 +200,67 @@ def reference_serialize(x: FilteredComplex) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+# -- construction oracle --------------------------------------------------------
+#
+# The constructions rebuilt from Cell records alone, with the documented names:
+# the wedge prefixes `l.` and `r.` and merges the two basepoints into `pt`; a pair
+# of cells a, b is `l.<a>*r.<b>`, with `*k` (k = 2, 3, ...) appended, in row order,
+# to a name already taken; the smash keeps the pairs of non-basepoint cells plus
+# `pt`, and drops the pairs in the wedge from every boundary, as `suspend` drops
+# the basepoint.
+
+
+def reference_wedge(x: FilteredComplex, y: FilteredComplex) -> FilteredComplex:
+    cells = [Cell("pt", 0, NEG_INF)]
+    for prefix, z in (("l.", x), ("r.", y)):
+        name = {c.id: prefix + c.id for c in z.cells} | {z.basepoint: "pt"}
+        for c in z.cells:
+            if c.id != z.basepoint:
+                cells.append(Cell(name[c.id], c.dim, c.weight, {name[b] for b in c.boundary}))
+    return FilteredComplex(cells, "pt")
+
+
+def _reference_pairs(x: FilteredComplex, y: FilteredComplex, filtered: bool, smash: bool) -> FilteredComplex:
+    left = [a for a in x.cells if not (smash and a.id == x.basepoint)]
+    right = [b for b in y.cells if not (smash and b.id == y.basepoint)]
+    names = {}
+    for a in left:
+        for b in right:
+            name = base = f"l.{a.id}*r.{b.id}"
+            k = 2
+            while name in names.values():
+                name, k = f"{base}*{k}", k + 1
+            names[a.id, b.id] = name
+    cells = [Cell("pt", 0, NEG_INF)] if smash else []
+    for a in left:
+        for b in right:
+            if not filtered:
+                weight = max(a.weight, b.weight)
+            else:
+                weight = NEG_INF if a.eternal or b.eternal else a.weight + b.weight
+            # ∂(a x b) = ∂a x b + a x ∂b mod 2; a pair left out names no cell
+            faces = [(e, b.id) for e in a.boundary] + [(a.id, e) for e in b.boundary]
+            cells.append(Cell(names[a.id, b.id], a.dim + b.dim, weight, {names[f] for f in faces if f in names}))
+    return FilteredComplex(cells, "pt" if smash else names[x.basepoint, y.basepoint])
+
+
+def reference_product(x: FilteredComplex, y: FilteredComplex, filtered: bool = False) -> FilteredComplex:
+    return _reference_pairs(x, y, filtered, smash=False)
+
+
+def reference_smash(x: FilteredComplex, y: FilteredComplex, filtered: bool = False) -> FilteredComplex:
+    return _reference_pairs(x, y, filtered, smash=True)
+
+
+def reference_suspend(x: FilteredComplex) -> FilteredComplex:
+    bp = x.basepoint
+    return FilteredComplex([Cell(c.id, c.dim + (c.id != bp), c.weight, c.boundary - {bp}) for c in x.cells], bp)
+
+
+def reference_sublevel(x: FilteredComplex, level) -> FilteredComplex:
+    return FilteredComplex([c for c in x.cells if c.weight <= level], x.basepoint)
+
+
 # -- barcode oracle -----------------------------------------------------------
 
 

@@ -227,6 +227,7 @@ WRONG_TYPES = {
     "linearization_stats": (lambda: fcw.linearization_stats([(0, 1)]), "expected a Linearization, got list"),
     "euler_poly_rel": (lambda: fcw.euler_poly_rel([(0, 1)]), "expected a Linearization, got list"),
     "rename": (lambda: SPHERE.rename(5), "expected a Mapping, got int"),
+    "cell": (lambda: SPHERE.cell(5), "cell id must be a str, got 5"),
     "parse_morse_datum": (lambda: fcw.parse_morse_datum(5), "expected a str, got int"),
     "Linearization": (
         lambda: Linearization([5]),

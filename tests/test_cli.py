@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import os
+import random
 import subprocess
 import sys
 from decimal import Decimal
@@ -11,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from helpers import torus, two_sphere_two_peaks
+from helpers import grid_document, torus, two_sphere_two_peaks
 
 from fcw import (
     NEG_INF,
@@ -149,6 +151,64 @@ def test_product_wedge_suspend_shift_cutoff(tmp_path):
         out = tmp_path / "out.fcw"
         out.write_text(doc)
         assert payload("validate", str(out)) == "ok\n"
+
+
+# exit code, stdout and stderr of each construction command, pinned by sha256: how a
+# construction builds its result may change, the bytes it prints may not
+PINNED_INPUTS = {"torus": TORUS, "s2h": S2H, "s2hp": S2HP}
+PINNED_BYTES = {
+    "wedge torus s2h": "69c4cdceaf387ec990522cb803b7e4c9238b10ae5dd3b4c7051ba63d335996b0",
+    "wedge s2h s2hp": "16a3ac382e1a2aee22d3cbcfbe0783573334f00cec1442c47c80e0519ea9b1a8",
+    "wedge grid4 grid5": "66a853fc5a5234ff3fa678a29079dd8c8b160dfce786f0204ed21ff0f7bb1bef",
+    "product torus s2h": "0513ac14f953f17c2fedf8c8110bf05aab30e2b2a8c912be068c2eb63f5cee54",
+    "product s2h s2hp": "f6a244eb027778163e92eb4649ff3e83d60da4518077f0d81ffa1a1f0d7d6d92",
+    "product grid4 grid5": "2595889d113a4665c22e4a6df1b3553c127f0c745e54c2cfb33205bb1d469bd4",
+    "product torus s2h --filtered": "e3dd3bbe0abf8462c3a96ca3314681b8e40f54a23307b754736c136c1c6491cd",
+    "product s2h s2hp --filtered": "597d59f472956f4b86a9d196ae5946c364186eb3a097db81bcec2852f9164310",
+    "product grid4 grid5 --filtered": "3ff176c847a151404a06df1db11c721740be02e892de728fd155fde0c9a91bb0",
+    "smash torus s2h": "7ad00b04ebbdc2273cb087858937707400442fea01a50b69f84cf2dd951c7b9e",
+    "smash s2h s2hp": "eafdcd53f3256b54a8d4c846689e0beaef0c39ff3ae0b45cd462fe657dcbdd66",
+    "smash grid4 grid5": "542f6a69227d8a6518a8d800317582b14b91659fa4c35f50d74d61784786f2a0",
+    "smash torus s2h --filtered": "66d7b34305e1e62b056e14d3375e08441ec77f8f48219587e6303e78fa66090d",
+    "smash s2h s2hp --filtered": "a2cb7952ab4fec1df81665f6a814c5fd4559183e98a7c275ed296d38b0bfbc16",
+    "smash grid4 grid5 --filtered": "d5d3728f2990df981b717110bf5bb712e7f572ca68bd5a0d84beed24ab32eb85",
+    "suspend torus": "9f62c837ea3672507ddde7abc4f7505a4eb29e162015c11ea6d24df40f4219a7",
+    "suspend s2h": "00994aa0d9c8d045d176a0c6e3357b347ab9bd874eab187224d61b533fc9fcc7",
+    "suspend s2hp": "9d173ebe5fef645ade6636f323d2b2b509068698d767d2ba7d9a65555ba01b0c",
+    "suspend grid4": "f73ac7ded76c564f57345a8b67783cd839c22c22c720b0faec993635afb210ce",
+    "suspend grid5": "a3c02361923626b07271e719342d638ad6d61ed5b8199f77d765a53d5476da9a",
+    "shift torus --by 3/2": "4bc54a98824a53c3213eb66b4208eb9790eb322af2d642c620e09c1929e1547b",
+    "shift s2h --by 3/2": "23d4f6058f36bf6ce98d3309f015826622c084ea9f9a3532aaf4df023d3f02bb",
+    "shift s2hp --by 3/2": "d2907d63cba5021813d54ee033822eeb976f9ef1b1011d8af86ed9c68ec71bb6",
+    "shift grid4 --by 3/2": "66c781f3d565303ea467904195d11f6c9f8efc8faa86b58fc35e3b582a65adeb",
+    "shift grid5 --by 3/2": "a0a985e4e7e3451bddbc960581945c6fd2d1ed1f7eec743b8722eddee1344cbc",
+    "cutoff torus --at 2": "79407f614260271c2b8bc4051c468b7c9e93249a76f4b5115bb173c23ec1ea87",
+    "cutoff s2h --at 2": "b38829e41014cf4407b503901e7be9561757f1c92b257c7e12f0db2ab4d58026",
+    "cutoff s2hp --at 2": "4a67e4f90433ab40c9506f9397626dc00b58803ffbf5085846a677ebeff67b7e",
+    "cutoff grid4 --at 2": "9e4139b34ff5592d0bb5e743490c71d08781cb9dd82c853f7265b34e80c2baef",
+    "cutoff grid5 --at 2": "80d0a56f8114934fd66bad93102ae3d446417e61718a188a6bf13fa37dc0477d",
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_inputs(tmp_path_factory):
+    """The fixtures and two lower-star grids of sides 4 and 5 with seeded values."""
+    rng, inputs = random.Random(26), dict(PINNED_INPUTS)
+    for side in (4, 5):
+        path = tmp_path_factory.mktemp("grids") / f"grid{side}.fcw"
+        path.write_text(grid_document(side, rng))
+        inputs[f"grid{side}"] = str(path)
+    return inputs
+
+
+@pytest.mark.parametrize("case", PINNED_BYTES)
+def test_construction_commands_print_their_pinned_bytes(pinned_inputs, case):
+    command, *names = case.split()
+    flags = [name for name in names if name.startswith("-") or name[0].isdigit()]
+    files = [pinned_inputs[name] for name in names if name not in flags]
+    result = run([command, *files, *flags])
+    printed = "\0".join([str(result.exit_code), result.payload, result.error])
+    assert hashlib.sha256(printed.encode()).hexdigest() == PINNED_BYTES[case]
 
 
 def test_sphere_command():

@@ -8,7 +8,16 @@ import time
 from fractions import Fraction
 
 import pytest
-from helpers import random_complex, torus, two_sphere_two_peaks
+from helpers import (
+    random_complex,
+    reference_product,
+    reference_smash,
+    reference_sublevel,
+    reference_suspend,
+    reference_wedge,
+    torus,
+    two_sphere_two_peaks,
+)
 
 from fcw import (
     Cell,
@@ -325,6 +334,25 @@ def test_views_and_constructions_keep_a_complex_valid():
             assert result._valid  # built marked valid, so require_valid() skips the check
             # validate() itself, not require_valid(): the flag set by construction is what is on trial
             assert FilteredComplex.validate(result) == []
+    assert collisions > 0
+
+
+def test_constructions_match_the_reference_built_from_cell_records():
+    # the reference reads only x.cells, so every boundary is checked cell by cell
+    rng = random.Random(26)
+    collisions = 0
+    for _ in range(40):
+        # ids with the separators of pair ids, so the collision guard runs too
+        x = random_complex(rng, max_cells=8, eternal_prob=0.3).rename({"c1": "c2*r.c3"})
+        y = random_complex(rng, max_cells=8, eternal_prob=0.3).rename({"c3": "c3*r.c1"})
+        cases = [(wedge(x, y), reference_wedge(x, y)), (x.suspend(), reference_suspend(x))]
+        cases += [(x.sublevel(r), reference_sublevel(x, r)) for r in (NEG_INF, *x.spectrum())]
+        for build, reference in ((product, reference_product), (smash, reference_smash)):
+            cases += [(build(x, y, filtered), reference(x, y, filtered)) for filtered in (False, True)]
+        collisions += any(cell_id.endswith("*2") for cell_id in cases[-1][1].ids())
+        for got, expected in cases:
+            assert got == expected
+            assert serialize_complex(got) == serialize_complex(expected)
     assert collisions > 0
 
 

@@ -107,6 +107,19 @@ def test_a_cell_id_that_is_not_a_string_is_a_parse_error(boundaries, message):
     assert str(caught.value) == message
 
 
+def test_a_list_chain_that_names_an_id_twice_is_a_parse_error(tmp_path):
+    # read as a set it would attach c2 along c1, where {"c1": 2} reduces to the zero chain
+    points = datum((0, 0), (1, 1), (2, 2))
+    assert barcode(morse_complex(points, {"c2": {"c1": 2}})) == barcode(morse_complex(points))
+    with pytest.raises(ParseError, match=r"^boundary of cell c2 names c1 twice$"):
+        morse_complex(points, {"c2": ["c1", "c1"]})
+    heights, attach = tmp_path / "heights.morse", tmp_path / "attach.json"
+    heights.write_text("0\t0\n1\t1\n2\t2\n")
+    attach.write_text('{"c2": ["c1", "c1"]}')
+    result = run(["morse-build", str(heights), "--boundaries", str(attach)])
+    assert (result.exit_code, result.error) == (2, f"ParseError: {attach}: boundary of cell c2 names c1 twice")
+
+
 def test_morse_index_must_be_an_integer():
     for index in (1.5, 2.0, True, F(1)):
         with pytest.raises(TypeError):
