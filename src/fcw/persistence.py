@@ -130,6 +130,24 @@ def _box(bar, others, births, delta) -> list[int]:
     return [j for j in range(lo, hi) if abs(others[j][1] - d) <= delta]
 
 
+def _nearest(bar, others, births, best, floor) -> int:
+    """The least of `best` and the costs of pairing `bar` with the bars of
+    `others`, sorted with births `births`: a walk outward from its birth that
+    stops once the birth gap alone reaches the least so far, or once that is
+    at most `floor`."""
+    b, d = bar
+    k = bisect_left(births, b)
+    for walk in (range(k, len(births)), range(k - 1, -1, -1)):
+        for j in walk:
+            gap = abs(births[j] - b)
+            if gap >= best:
+                break
+            best = min(best, max(gap, abs(others[j][1] - d)))
+            if best <= floor:
+                return best
+    return best
+
+
 def _finite_bottleneck(left, right, low) -> Fraction:
     """Least delta >= low at which the sorted finite bars `left` and `right`
     admit a matching of cost <= delta, every unmatched bar paying half its
@@ -145,6 +163,14 @@ def _finite_bottleneck(left, right, low) -> Fraction:
     and bisection over those in [low, U] finds the least delta at which, by
     the Mendelsohn-Dulmage theorem, one matching of cost <= delta covers
     every bar1 longer than 2*delta and another covers every such bar2.
+
+    In a matching within delta each bar is paired at cost <= delta or sent
+    to the diagonal at its half-length, so the answer is at least the floor
+    F: the largest of low and each bar's min(half-length, U, cost to its
+    nearest bar on the other side).  F is low, U, a half-length or a pair
+    cost within min(half-length, U) of its bar, so it is a candidate, and it
+    is tested first: when it is feasible, that one test settles the search.
+    Otherwise bisection runs over the candidates above F.
     """
     scale = 2 * lcm(low.denominator, *{v.denominator for bar in left + right for v in (bar.birth, bar.death)})
 
@@ -158,16 +184,6 @@ def _finite_bottleneck(left, right, low) -> Fraction:
         return Fraction(top, scale)
     # each side against the other side's bars, sorted by birth
     directions = [(bars1, bars2, [b for b, _ in bars2]), (bars2, bars1, [b for b, _ in bars1])]
-    candidates = {low, top}
-    for bars, others, births in directions:
-        for b, d in bars:
-            radius = min((d - b) // 2, top)
-            candidates.add(radius)
-            candidates.update(
-                max(abs(others[j][0] - b), abs(others[j][1] - d))
-                for j in _box((b, d), others, births, radius)
-            )
-    ordered = sorted(c for c in candidates if c >= low)
 
     def feasible(delta) -> bool:
         # Mendelsohn-Dulmage: a delta-matching exists iff one matching covers
@@ -183,6 +199,24 @@ def _finite_bottleneck(left, right, low) -> Fraction:
                 return False
         return True
 
+    floor = low
+    for bars, others, births in directions:
+        for b, d in bars:
+            radius = min((d - b) // 2, top)
+            if radius > floor:
+                floor = max(floor, _nearest((b, d), others, births, radius, floor))
+    if floor == top or feasible(floor):
+        return Fraction(floor, scale)
+    candidates = {low, top}
+    for bars, others, births in directions:
+        for b, d in bars:
+            radius = min((d - b) // 2, top)
+            candidates.add(radius)
+            candidates.update(
+                max(abs(others[j][0] - b), abs(others[j][1] - d))
+                for j in _box((b, d), others, births, radius)
+            )
+    ordered = sorted(c for c in candidates if c > floor)
     # the least feasible candidate; the largest is feasible, so never tested
     return Fraction(ordered[bisect_left(ordered, True, hi=len(ordered) - 1, key=feasible)], scale)
 

@@ -5,6 +5,7 @@ neither oracle reaches the shift and stability identities."""
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from fcw import (
     parse_complex,
     sphere,
 )
+from fcw import persistence
 
 F = Fraction
 
@@ -224,13 +226,21 @@ def test_shift_moves_grid_barcodes_by_exactly_the_shift():
 
 
 def test_shift_moves_overlapping_bars_by_exactly_the_shift():
-    # every bar within every other's half-length: the quadratic case
+    # every bar within every other's half-length: the quadratic case.  The
+    # infinite bar makes L = a, and pairing in sorted order costs a too, so
+    # the search ends at once, unless one side has a short bar born before
+    # the others: it goes to the diagonal, but the sorted pairing then costs
+    # far more than a.
     rng = random.Random(271)
-    bars = [Bar(0, F(rng.randrange(400), 4), F(rng.randrange(4000, 4400), 4)) for _ in range(300)]
-    bc = Barcode([*bars, Bar(0, F(3), POS_INF)])
-    a = F(5, 4)
-    assert bottleneck(bc, affine(bc, 1, a)) == a
-    assert bottleneck(affine(bc, 1, a), bc) == a
+    a, short = F(5, 4), Bar(0, -50, -49)
+    for n in (300, 1000):
+        bars = [Bar(0, F(rng.randrange(400), 4), F(rng.randrange(4000, 4400), 4)) for _ in range(n)]
+        bc = Barcode([*bars, Bar(0, F(3), POS_INF)])
+        moved, longer = affine(bc, 1, a), Barcode([*bc, short])
+        assert bottleneck(bc, moved) == a
+        assert bottleneck(moved, bc) == a
+        assert bottleneck(longer, moved) == a
+        assert bottleneck(moved, longer) == a
 
 
 def test_distance_scales_with_the_barcodes():
@@ -358,3 +368,86 @@ def test_stability_on_perturbed_grids():
             eps = max(abs(u - v) for row_f, row_g in zip(f, g) for u, v in zip(row_f, row_g))
             bf, bg = (barcode(parse_complex(lower_star_document(v))) for v in (f, g))
             assert 0 < bottleneck(bf, bg) <= eps
+
+
+@pytest.fixture
+def matchings(monkeypatch):
+    """A list that counts the feasibility tests' calls to the matching kernel."""
+    calls, kernel = [], persistence.max_bipartite_matching
+
+    def counted(n_left, n_right, adjacency):
+        calls.append(n_left)
+        return kernel(n_left, n_right, adjacency)
+
+    monkeypatch.setattr(persistence, "max_bipartite_matching", counted)
+    return calls
+
+
+def test_a_perturbed_grid_is_settled_by_one_feasibility_test(matchings):
+    # Every bar is paired or goes to the diagonal, so each bar's least cost
+    # to a bar of the other side or to the diagonal bounds the distance from
+    # below.  Here the largest of these bounds is the distance: one test at
+    # it, two matchings, settles each finite degree.
+    rng = random.Random(331)
+    for side in (10, 20, 30):
+        for spread in (1, 2, 4):
+            f = grid_values(side, rng)
+            g = [[v + F(rng.randint(-spread, spread), 24) for v in row] for row in f]
+            bf, bg = (barcode(parse_complex(lower_star_document(v))) for v in (f, g))
+            for dim in (0, 1):
+                matchings.clear()
+                assert 0 < bottleneck(bf, bg, dim) <= F(spread, 24)
+                assert len(matchings) <= 2
+
+
+def _crowds(rng, count):
+    """Bars [100k, 100k + length) and, for each, `count` bars around it."""
+    one, crowd = [], []
+    for k in range(12):
+        birth = F(100 * k)
+        death = birth + rng.randint(20, 60)
+        one.append(Bar(1, birth, death))
+        for _ in range(count):
+            early, late = (F(rng.randint(-6, 6), rng.choice((2, 3, 5))) for _ in range(2))
+            crowd.append(Bar(1, birth + early, death + late))
+    return Barcode(one), Barcode(crowd)
+
+
+def test_bars_crowding_around_one_bar_compete_for_it(matchings):
+    # Each crowded bar is near a partner, so the lower bound is small, but
+    # only one of the crowd gets that partner and the rest pay their
+    # half-lengths: the search goes on past its first test.
+    rng = random.Random(337)
+    for count in (2, 3):
+        one, crowd = _crowds(rng, count)
+        for left, right in ((one, crowd), (crowd, one)):
+            matchings.clear()
+            assert bottleneck(left, right) == reference_bottleneck(left, right)
+            assert len(matchings) > 2
+
+
+def test_the_lower_bound_stops_its_scan_where_a_birth_gap_ties():
+    # Left bar j is [10 + j, 30 + 3j): half-length 10 + j, which is also its
+    # birth gap to each right bar [0, 1).  Every other pair costs more, so
+    # the distance is the longest half-length, 309, and each left bar's scan
+    # stops at its first tie.  Walking on through the ties, or listing the
+    # pairs within each half-length, would execute some n^2 lines here.
+    n = 300
+    left = Barcode(Bar(0, 10 + j, 30 + 3 * j) for j in range(n))
+    right = Barcode(Bar(0, 0, 1) for _ in range(n))
+    lines = []
+
+    def trace(frame, event, arg):
+        if frame.f_code.co_filename == persistence.__file__:
+            lines.append(event)
+            return trace
+        return None
+
+    before = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        distance = bottleneck(left, right)
+    finally:
+        sys.settrace(before)
+    assert distance == 10 + n - 1
+    assert len(lines) < n * n

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import json
 import os
 import random
 import subprocess
@@ -13,11 +14,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from helpers import grid_document, torus, two_sphere_two_peaks
+from helpers import grid_document, random_barcode, torus, two_sphere_two_peaks
 
 from fcw import (
     NEG_INF,
+    POS_INF,
+    Bar,
+    Barcode,
+    bottleneck,
     euler_polynomial,
+    format_extended,
     parse_complex,
     point,
     serialize_complex,
@@ -201,14 +207,131 @@ def pinned_inputs(tmp_path_factory):
     return inputs
 
 
-@pytest.mark.parametrize("case", PINNED_BYTES)
-def test_construction_commands_print_their_pinned_bytes(pinned_inputs, case):
+def printed_digest(case, inputs) -> str:
+    """sha256 of the exit code, stdout and stderr of the command `case`, whose
+    words name files of `inputs`, flags and flag values."""
     command, *names = case.split()
     flags = [name for name in names if name.startswith("-") or name[0].isdigit()]
-    files = [pinned_inputs[name] for name in names if name not in flags]
+    files = [inputs[name] for name in names if name not in flags]
     result = run([command, *files, *flags])
     printed = "\0".join([str(result.exit_code), result.payload, result.error])
-    assert hashlib.sha256(printed.encode()).hexdigest() == PINNED_BYTES[case]
+    return hashlib.sha256(printed.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", PINNED_BYTES)
+def test_construction_commands_print_their_pinned_bytes(pinned_inputs, case):
+    assert printed_digest(case, pinned_inputs) == PINNED_BYTES[case]
+
+
+# the same for `bottleneck`: how it searches may change, the distance it prints may not
+PINNED_BOTTLENECK = {
+    "bottleneck torus s2h": "c90ccbf5a0c82a7994714560deb8157f51325598c27cebd8958349c4c83275fa",  # inf
+    "bottleneck torus s2h --dim 0": "93ae3b536c740e244712538e00afe02c545d44b8f943a800abe8c753f4d55309",  # 0
+    "bottleneck torus s2h --dim 1": "c90ccbf5a0c82a7994714560deb8157f51325598c27cebd8958349c4c83275fa",  # inf
+    "bottleneck torus s2h --dim 5": "93ae3b536c740e244712538e00afe02c545d44b8f943a800abe8c753f4d55309",  # 0
+    "bottleneck s2h torus": "c90ccbf5a0c82a7994714560deb8157f51325598c27cebd8958349c4c83275fa",  # inf
+    "bottleneck s2h torus --dim 0": "93ae3b536c740e244712538e00afe02c545d44b8f943a800abe8c753f4d55309",  # 0
+    "bottleneck s2h torus --dim 1": "c90ccbf5a0c82a7994714560deb8157f51325598c27cebd8958349c4c83275fa",  # inf
+    "bottleneck s2h torus --dim 5": "93ae3b536c740e244712538e00afe02c545d44b8f943a800abe8c753f4d55309",  # 0
+    "bottleneck torus s2hp": "c90ccbf5a0c82a7994714560deb8157f51325598c27cebd8958349c4c83275fa",  # inf
+    "bottleneck torus s2hp --dim 0": "93ae3b536c740e244712538e00afe02c545d44b8f943a800abe8c753f4d55309",  # 0
+    "bottleneck torus s2hp --dim 1": "c90ccbf5a0c82a7994714560deb8157f51325598c27cebd8958349c4c83275fa",  # inf
+    "bottleneck torus s2hp --dim 5": "93ae3b536c740e244712538e00afe02c545d44b8f943a800abe8c753f4d55309",  # 0
+    "bottleneck s2hp torus": "c90ccbf5a0c82a7994714560deb8157f51325598c27cebd8958349c4c83275fa",  # inf
+    "bottleneck s2hp torus --dim 0": "93ae3b536c740e244712538e00afe02c545d44b8f943a800abe8c753f4d55309",  # 0
+    "bottleneck s2hp torus --dim 1": "c90ccbf5a0c82a7994714560deb8157f51325598c27cebd8958349c4c83275fa",  # inf
+    "bottleneck s2hp torus --dim 5": "93ae3b536c740e244712538e00afe02c545d44b8f943a800abe8c753f4d55309",  # 0
+    "bottleneck s2h s2hp": "905eec256538333b400e01989dd878b06389b010858305f4866f54436e0a0c65",  # 1/4
+    "bottleneck s2h s2hp --dim 0": "93ae3b536c740e244712538e00afe02c545d44b8f943a800abe8c753f4d55309",  # 0
+    "bottleneck s2h s2hp --dim 1": "905eec256538333b400e01989dd878b06389b010858305f4866f54436e0a0c65",  # 1/4
+    "bottleneck s2h s2hp --dim 5": "93ae3b536c740e244712538e00afe02c545d44b8f943a800abe8c753f4d55309",  # 0
+    "bottleneck s2hp s2h": "905eec256538333b400e01989dd878b06389b010858305f4866f54436e0a0c65",  # 1/4
+    "bottleneck s2hp s2h --dim 0": "93ae3b536c740e244712538e00afe02c545d44b8f943a800abe8c753f4d55309",  # 0
+    "bottleneck s2hp s2h --dim 1": "905eec256538333b400e01989dd878b06389b010858305f4866f54436e0a0c65",  # 1/4
+    "bottleneck s2hp s2h --dim 5": "93ae3b536c740e244712538e00afe02c545d44b8f943a800abe8c753f4d55309",  # 0
+    "bottleneck grid4 grid5": "ed7be8e2a1701d2c34e9a43524e045b9ea3fe146a45e6779c83ff5a252ec92e9",  # 6
+    "bottleneck grid4 grid5 --dim 0": "1a0474140706234edf7f1cc8c0f75e24f752773ccea2273beae7c056a7990c20",  # 9/2
+    "bottleneck grid4 grid5 --dim 1": "ed7be8e2a1701d2c34e9a43524e045b9ea3fe146a45e6779c83ff5a252ec92e9",  # 6
+    "bottleneck grid4 grid5 --dim 5": "93ae3b536c740e244712538e00afe02c545d44b8f943a800abe8c753f4d55309",  # 0
+    "bottleneck grid5 grid4": "ed7be8e2a1701d2c34e9a43524e045b9ea3fe146a45e6779c83ff5a252ec92e9",  # 6
+    "bottleneck grid5 grid4 --dim 0": "1a0474140706234edf7f1cc8c0f75e24f752773ccea2273beae7c056a7990c20",  # 9/2
+    "bottleneck grid5 grid4 --dim 1": "ed7be8e2a1701d2c34e9a43524e045b9ea3fe146a45e6779c83ff5a252ec92e9",  # 6
+    "bottleneck grid5 grid4 --dim 5": "93ae3b536c740e244712538e00afe02c545d44b8f943a800abe8c753f4d55309",  # 0
+    "bottleneck torus s2h --dim 2": "584a80e59d0d5a7fd5c4d968ab77548840d083dff98015748aa5fb3feed7b39f",  # 3
+    "bottleneck peaks37 peaks41": "63400b7c6c5bc09fc7350f2c6543f5de81c3648cd8adcf18a16d7bfa62aba7de",  # 1
+    "bottleneck mixed37 mixed41": "7576410f3b85c88eb70620628abb7b0d187a6f57a13cec414efcf7aa52c859ba",  # 2
+    "bottleneck mixed41 mixed37 --dim 0": "7576410f3b85c88eb70620628abb7b0d187a6f57a13cec414efcf7aa52c859ba",  # 2
+    "bottleneck kinds37 kinds41": "9fc1b6dce51ad4c8f178d0292355fe1bf5ab0bea0dd8c5f957790968ab464e6f",  # 358180/67591
+    "bottleneck kinds41 kinds37 --dim 0": "9fc1b6dce51ad4c8f178d0292355fe1bf5ab0bea0dd8c5f957790968ab464e6f",  # 358180/67591
+    "bottleneck kinds37 kinds41 --dim 1": "584a80e59d0d5a7fd5c4d968ab77548840d083dff98015748aa5fb3feed7b39f",  # 3
+}
+
+
+def _bottleneck_documents(m):
+    """Two documents for the multiplier m, each a basepoint plus 0-cells
+    v{k}: `mixed`, where a third of them are killed by an edge to the
+    basepoint, so degree 0 mixes 400 bars [b, inf) with 200 bars [b, d);
+    and `kinds`, 300 of them with a prime denominator each, plus 100
+    integer bars [b, d) in degree 1 from 1-cells killed by 2-cells."""
+    pt = {"id": "pt", "dim": 0, "weight": "-inf", "boundary": {}}
+    mixed, kinds = [pt], [pt]
+    for k in range(600):
+        mixed.append({"id": f"v{k}", "dim": 0, "weight": f"{k * m % 101}/{k % 3 + 1}", "boundary": {}})
+        if k % 3 == 0:
+            weight = f"{k * m % 101 + k % 5 + 1}/{k % 3 + 1}"
+            mixed.append({"id": f"e{k}", "dim": 1, "weight": weight, "boundary": {f"v{k}": 1, "pt": 1}})
+    primes = [p for p in range(2, 3000) if all(p % d for d in range(2, int(p**0.5) + 1))]
+    for k in range(300):
+        kinds.append({"id": f"v{k}", "dim": 0, "weight": f"{k * m % 1009 * 20}/{primes[k + m]}", "boundary": {}})
+    for k in range(100):
+        kinds.append({"id": f"e{k}", "dim": 1, "weight": f"{k * m % 101}", "boundary": {}})
+        kinds.append({"id": f"f{k}", "dim": 2, "weight": f"{k * m % 101 + k % 7 + 1}", "boundary": {f"e{k}": 1}})
+    documents = {"mixed": mixed, "kinds": kinds}
+    return {name: json.dumps({"format": "fcw/1", "basepoint": "pt", "cells": cells}) for name, cells in documents.items()}
+
+
+@pytest.fixture(scope="module")
+def bottleneck_inputs(pinned_inputs, tmp_path_factory):
+    """The pinned inputs, and for m = 37 and 41: `peaks{m}`, built by
+    `morse-build` from 300 Morse points without boundaries, so every bar is
+    infinite; `mixed{m}` and `kinds{m}`, from _bottleneck_documents."""
+    root, inputs = tmp_path_factory.mktemp("bottleneck"), dict(pinned_inputs)
+    for m in (37, 41):
+        morse = root / f"peaks{m}.morse"
+        morse.write_text("".join(f"{k * m % 101}/{k % 3 + 1}\t{k and k % 3 + 1}\n" for k in range(300)))
+        documents = {"peaks": payload("morse-build", str(morse)), **_bottleneck_documents(m)}
+        for name, text in documents.items():
+            path = root / f"{name}{m}.fcw"
+            path.write_text(text)
+            inputs[f"{name}{m}"] = str(path)
+    return inputs
+
+
+@pytest.mark.parametrize("case", PINNED_BOTTLENECK)
+def test_bottleneck_prints_its_pinned_bytes(bottleneck_inputs, case):
+    assert printed_digest(case, bottleneck_inputs) == PINNED_BOTTLENECK[case]
+
+
+def _moved(rng, bar):
+    """The bar with each finite endpoint moved a little, unless that empties it."""
+    birth, death = (
+        v if v is NEG_INF or v is POS_INF else v + F(rng.randint(-3, 3), rng.choice((2, 3, 7)))
+        for v in (bar.birth, bar.death)
+    )
+    return Bar(bar.dim, birth, death) if birth < death else bar
+
+
+def test_bottleneck_answers_to_seeded_pairs_are_pinned():
+    # 300 pairs in degrees 0 and 1 that mix all four kinds of bar: the right
+    # barcode moves each left bar a little and gains up to two random bars,
+    # so about a third of the answers are inf
+    rng, answers = random.Random(27), []
+    for _ in range(300):
+        left = random_barcode(rng, max_bars=24, dims=(0, 1))
+        right = Barcode([*(_moved(rng, bar) for bar in left), *random_barcode(rng, max_bars=2, dims=(0, 1))])
+        answers.extend(format_extended(bottleneck(left, right, dim)) for dim in (None, 0, 1))
+    digest = hashlib.sha256("\n".join(answers).encode()).hexdigest()
+    assert digest == "c8051bf1c730f34945d87dd07a6ba80a0fc435895bbf201513e37b5b8dd26f85"
 
 
 def test_sphere_command():
