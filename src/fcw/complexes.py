@@ -23,22 +23,16 @@ from .rationals import NEG_INF, as_fraction, as_weight
 _ID_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.*-")
 
 
-def _rank_weights(weights) -> tuple[tuple[int, ...], tuple]:
-    """Each weight's rank and the levels: the sorted distinct finite weights,
-    then NEG_INF, so levels[rank] is the weight and rank -1 is -inf.  Weights
-    are grouped by (numerator, denominator), ints that hash fast where a
-    Fraction does not, and only the distinct weights are sorted as Fractions."""
-    # A parsed document shares one object per distinct weight string,
-    # so grouping by identity first leaves few weights to key by value.
-    objects = dict(zip(map(id, weights), weights))
-    distinct = {(w.numerator, w.denominator): w for w in objects.values() if w is not NEG_INF}
+def _rank_weights(weights, codes) -> tuple[tuple[int, ...], tuple]:
+    """Each code's rank and the levels: the sorted distinct finite weights[c] over the codes c,
+    then NEG_INF, so levels[rank] is the weight and rank -1 is -inf; an entry no code names gets
+    no level.  Entries are grouped by (numerator, denominator), ints that hash fast."""
+    named = {c: weights[c] for c in set(codes)}
+    distinct = {(w.numerator, w.denominator): w for w in named.values() if w is not NEG_INF}
     levels = (*sorted(distinct.values()), NEG_INF)
     index = {(w.numerator, w.denominator): i for i, w in enumerate(levels[:-1])}
-    rank_of = {
-        oid: -1 if w is NEG_INF else index[w.numerator, w.denominator]
-        for oid, w in objects.items()
-    }
-    return tuple(map(rank_of.__getitem__, map(id, weights))), levels
+    rank_of = {c: -1 if w is NEG_INF else index[w.numerator, w.denominator] for c, w in named.items()}
+    return tuple(map(rank_of.__getitem__, codes)), levels
 
 
 def _order(primary, secondary) -> list[int]:
@@ -88,12 +82,14 @@ class FilteredComplex:
     The cells live in parallel tuples in the canonical (dim, id) order:
     ``_ids``, ``_dims``, ``_rank`` and ``_bounds``, each boundary the sorted
     tuple of its cells' positions.  A weight is ``_levels[rank]``: the sorted
-    distinct finite weights, then ``-inf`` for rank -1.  A boundary id naming
-    no cell gets position ``len(self) + k``, ``k`` indexing the sorted
-    ``_unknown`` ids, so validate() can name it.  Validity and ``Cell``
-    records are made on first use; the views and constructions, whose
-    operands pass require_valid(), build their valid result from positions.
-    The other modules of fcw read the tuples.
+    distinct finite weights of the cells, then ``-inf`` for rank -1; _build
+    takes each weight as a code into a table of weights, and _fill compacts
+    the entries the codes name into the levels.  A boundary id naming no cell
+    gets position ``len(self) + k``, ``k`` indexing the sorted ``_unknown``
+    ids, so validate() can name it.  Validity and ``Cell`` records are made
+    on first use; the views and constructions, whose operands pass
+    require_valid(), build their valid result from positions.  The other
+    modules of fcw read the tuples.
     """
 
     __slots__ = (
@@ -106,24 +102,26 @@ class FilteredComplex:
         for cell in cells:
             if not isinstance(cell, Cell):
                 raise TypeError(f"complex entry must be a Cell, got {cell!r}")
-        ids, dims, weights = [c.id for c in cells], [c.dim for c in cells], [c.weight for c in cells]
-        self._fill(ids, dims, weights, [c.boundary for c in cells], cell_id(basepoint))
+        table = {id(c.weight): c.weight for c in cells}  # one entry per weight object
+        code = dict(zip(table, range(len(table))))
+        ids, dims, codes = [c.id for c in cells], [c.dim for c in cells], [code[id(c.weight)] for c in cells]
+        self._fill(ids, dims, codes, [*table.values()], [c.boundary for c in cells], cell_id(basepoint))
 
     @classmethod
-    def _build(cls, ids, dims, weights, boundaries, basepoint, positions=False) -> FilteredComplex:
-        """The constructor behind every complex: parallel lists in any order, each
-        boundary its cells' distinct ids or, with `positions` (a construction's
-        result, valid by construction), their positions in the lists."""
+    def _build(cls, ids, dims, codes, weights, boundaries, basepoint, positions=False) -> FilteredComplex:
+        """The constructor behind every complex: parallel lists in any order, cell i weighing
+        weights[codes[i]] (code -1 only if weights ends in NEG_INF; _fill ranks only the named
+        entries, once), each boundary its cells' distinct ids or, with `positions` (a
+        construction's result, valid by construction), their positions in the lists."""
         x = cls.__new__(cls)
-        x._fill(ids, dims, weights, boundaries, basepoint, positions)
+        x._fill(ids, dims, codes, weights, boundaries, basepoint, positions)
         return x
 
-    def _lists(self, keep, dims) -> tuple[list, list, list]:
-        """_build's ids, dims and weights of the cells at positions `keep`, position p of dimension dims[p]."""
-        weights = map(self._levels.__getitem__, map(self._rank.__getitem__, keep))
-        return list(map(self._ids.__getitem__, keep)), list(map(dims.__getitem__, keep)), list(weights)
+    def _lists(self, keep, dims) -> list[list]:
+        """_build's ids, dims and codes into _levels of the cells at `keep`, position p of dimension dims[p]."""
+        return [list(map(column.__getitem__, keep)) for column in (self._ids, dims, self._rank)]
 
-    def _fill(self, ids, dims, weights, boundaries, basepoint, positions=False):
+    def _fill(self, ids, dims, codes, weights, boundaries, basepoint, positions=False):
         """_build's work on self; each weight is a Fraction or NEG_INF and each dimension an int."""
         n = len(ids)
         order = _order(dims, ids)
@@ -134,7 +132,7 @@ class FilteredComplex:
             twice = next(cell_id for cell_id in ids if cell_id in seen or seen.add(cell_id))
             raise ValidationError([Violation("DuplicateCellId", twice, "cell id appears twice")])
         self._dims = tuple(map(dims.__getitem__, order))
-        self._rank, self._levels = _rank_weights(list(map(weights.__getitem__, order)))
+        self._rank, self._levels = _rank_weights(weights, list(map(codes.__getitem__, order)))
         boundaries = list(map(boundaries.__getitem__, order))
         get = (_inverse(order, n) if positions else index).__getitem__  # list position or id -> canonical position
         self._unknown = ()
@@ -165,7 +163,7 @@ class FilteredComplex:
         if self._cells is None:
             names = self._ids + self._unknown
             bounds = [[names[r] for r in bound] for bound in self._bounds]
-            self._cells = tuple(map(Cell, *self._lists(range(len(self)), self._dims), bounds))
+            self._cells = tuple(map(Cell, self._ids, self._dims, map(self._levels.__getitem__, self._rank), bounds))
         return self._cells
 
     def cell(self, cell_id: str) -> Cell:
@@ -273,7 +271,7 @@ class FilteredComplex:
         # a kept cell's boundary cells weigh no more than it, so they are kept too
         at = _inverse(kept, len(self))
         bounds = [[at[r] for r in self._bounds[i]] for i in kept]
-        return FilteredComplex._build(*self._lists(kept, self._dims), bounds, self._basepoint, positions=True)
+        return self._build(*self._lists(kept, self._dims), self._levels, bounds, self._basepoint, positions=True)
 
     def spectrum(self) -> list[Fraction]:
         """Sorted distinct finite weights among the cells."""
@@ -309,10 +307,10 @@ class FilteredComplex:
     def cutoff(self, floor) -> FilteredComplex:
         """Raise every non-basepoint weight to at least `floor`."""
         floor = as_fraction(floor)
-        bp, levels = self.require_valid()._index[self._basepoint], self._levels
-        low = bisect_left(levels, floor, 0, len(levels) - 1)  # ranks below low weigh < floor
-        weights = [levels[r] if r >= low or i == bp else floor for i, r in enumerate(self._rank)]
-        return self._reweighted(*_rank_weights(weights))
+        bp, levels, top = self.require_valid()._index[self._basepoint], self._levels, len(self._levels) - 1
+        low = bisect_left(levels, floor, 0, top)  # ranks below low weigh < floor: they take code top, the floor
+        codes = [r if r >= low or i == bp else top for i, r in enumerate(self._rank)]
+        return self._reweighted(*_rank_weights((*levels[:-1], floor, NEG_INF), codes))
 
     # -- suspension ---------------------------------------------------------
 
@@ -323,7 +321,7 @@ class FilteredComplex:
         # the basepoint's own boundary is empty; the other cells drop it from theirs,
         # which keeps each boundary one dimension down and the parity of ∂∂
         bounds = [[r for r in bound if r != at] for bound in self._bounds]
-        return FilteredComplex._build(*self._lists(range(len(self)), dims), bounds, self._basepoint, positions=True)
+        return self._build(*self._lists(range(len(self)), dims), self._levels, bounds, self._basepoint, positions=True)
 
     # -- renaming -----------------------------------------------------------
 
@@ -332,9 +330,9 @@ class FilteredComplex:
         new name that breaks the id grammar raises ValidationError."""
         instance(mapping, Mapping)
         names = [cell_id(mapping.get(name, name)) for name in self.require_valid()._ids]
-        _, dims, weights = self._lists(range(len(self)), self._dims)
         bounds = [[names[r] for r in bound] for bound in self._bounds]
-        return FilteredComplex._build(names, dims, weights, bounds, names[self._index[self._basepoint]]).require_valid()
+        basepoint = names[self._index[self._basepoint]]
+        return self._build(names, self._dims, self._rank, self._levels, bounds, basepoint).require_valid()
 
 
 # -- generators --------------------------------------------------------------
@@ -342,13 +340,13 @@ class FilteredComplex:
 
 def point(basepoint_id: str = "pt") -> FilteredComplex:
     """The one-point complex."""
-    return FilteredComplex._build([cell_id(basepoint_id)], [0], [NEG_INF], [()], basepoint_id)
+    return FilteredComplex._build([cell_id(basepoint_id)], [0], [0], [NEG_INF], [()], basepoint_id)
 
 
 def sphere(k: int, level) -> FilteredComplex:
     """Basepoint plus a single k-cell appearing at `level` (boundary zero)."""
     k = integer(k, "sphere dimension", nonnegative=True)
-    return FilteredComplex._build(["pt", "c1"], [0, k], [NEG_INF, as_weight(level)], [(), ()], "pt")
+    return FilteredComplex._build(["pt", "c1"], [0, k], [0, 1], [NEG_INF, as_weight(level)], [(), ()], "pt")
 
 
 # -- binary constructions: each operand passes require_valid() first ----------
@@ -365,16 +363,17 @@ def _operand(x) -> FilteredComplex:
 
 def wedge(x: FilteredComplex, y: FilteredComplex) -> FilteredComplex:
     """One-point union: operand cells prefixed `l.` / `r.`, basepoints merged."""
-    lists = ["pt"], [0], [NEG_INF], [()]
-    for prefix, operand in (("l.", _operand(x)), ("r.", _operand(y))):
+    lists = ["pt"], [0], [-1], [()]  # codes index x's levels, then y's: each table ends in -inf
+    for prefix, operand, offset in (("l.", _operand(x), 0), ("r.", _operand(y), len(x._levels))):
         bp, n, base = operand._index[operand.basepoint], len(operand), len(lists[0])
         keep = [*range(bp), *range(bp + 1, n)]
         at = [*range(base, base + bp), 0, *range(base + bp, base + n - 1)]  # the basepoint goes to pt
-        ids, dims, weights = operand._lists(keep, operand._dims)
+        ids, dims, ranks = operand._lists(keep, operand._dims)
         bounds = [[at[r] for r in operand._bounds[i]] for i in keep]
-        for out, part in zip(lists, ([prefix + name for name in ids], dims, weights, bounds)):
+        for out, part in zip(lists, ([prefix + name for name in ids], dims, [r + offset for r in ranks], bounds)):
             out += part
-    return FilteredComplex._build(*lists, "pt", positions=True)
+    ids, dims, codes, bounds = lists
+    return FilteredComplex._build(ids, dims, codes, (*x._levels, *y._levels), bounds, "pt", positions=True)
 
 
 def _pair_weight(wa, wb, filtered: bool):
@@ -399,9 +398,9 @@ def _pair_ids(left, right) -> list[str]:
 
 
 def _pair_cells(x, y, skip_x, skip_y, filtered):
-    """Parallel ids, dims, weights and boundary positions of the pairs of cells
-    of the valid complexes x and y, leaving out cell `skip_x` of x and `skip_y`
-    of y (positions, or None) as pair members and as boundary cells."""
+    """Parallel ids, dims, codes and boundary positions of the pairs of cells of the
+    valid complexes x and y, then the table the codes index, leaving out cell `skip_x`
+    of x and `skip_y` of y (positions, or None) as pair members and as boundary cells."""
     keep_x = [i for i in range(len(x)) if i != skip_x]
     keep_y = [j for j in range(len(y)) if j != skip_y]
     m = len(keep_y)
@@ -411,28 +410,29 @@ def _pair_cells(x, y, skip_x, skip_y, filtered):
     down_x = [[at_x[a] * m for a in x._bounds[i] if a != skip_x] for i in keep_x]
     down_y = [[at_y[b] for b in y._bounds[j] if b != skip_y] for j in keep_y]
     ids = _pair_ids(map(x._ids.__getitem__, keep_x), list(map(y._ids.__getitem__, keep_y)))
-    rank_x, rank_y = x._rank, y._rank
-    # (rank in x, rank in y) -> weight: one object per distinct pair of weights
-    sums = {(a, b): _pair_weight(x._levels[a], y._levels[b], filtered) for a in {*rank_x} for b in {*rank_y}}
-    dims, weights, boundaries = [], [], []
+    rank_x, rank_y, nx, ny = x._rank, y._rank, len(x._levels), len(y._levels)
+    # code a % nx * ny + b % ny names the pair of levels a and b, so the last, -inf with -inf, is -inf
+    weights = [_pair_weight(wa, wb, filtered) for wa in x._levels for wb in y._levels]
+    dims, codes, boundaries = [], [], []
     for p, i in enumerate(keep_x):
+        row = rank_x[i] % nx * ny
         for q, j in enumerate(keep_y):
             dims.append(x._dims[i] + y._dims[j])
-            weights.append(sums[rank_x[i], rank_y[j]])
+            codes.append(row + rank_y[j] % ny)
             boundaries.append([a + q for a in down_x[p]] + [p * m + b for b in down_y[q]])
-    return ids, dims, weights, boundaries
+    return ids, dims, codes, boundaries, weights
 
 
 def product(x: FilteredComplex, y: FilteredComplex, filtered: bool = False) -> FilteredComplex:
     """Cellwise product; weights take the max (naive) or the sum (filtered)."""
-    ids, dims, weights, boundaries = _pair_cells(_operand(x), _operand(y), None, None, filtered)
+    ids, dims, codes, boundaries, weights = _pair_cells(_operand(x), _operand(y), None, None, filtered)
     basepoint = ids[x._index[x.basepoint] * len(y) + y._index[y.basepoint]]
-    return FilteredComplex._build(ids, dims, weights, boundaries, basepoint, positions=True)
+    return FilteredComplex._build(ids, dims, codes, weights, boundaries, basepoint, positions=True)
 
 
 def smash(x: FilteredComplex, y: FilteredComplex, filtered: bool = False) -> FilteredComplex:
     """Product with the wedge collapsed: only pairs of non-basepoint cells survive."""
     skip_x, skip_y = _operand(x)._index[x.basepoint], _operand(y)._index[y.basepoint]
-    ids, dims, weights, bounds = _pair_cells(x, y, skip_x, skip_y, filtered)
+    ids, dims, codes, bounds, weights = _pair_cells(x, y, skip_x, skip_y, filtered)
     # pt goes last, so that the pairs keep the positions their boundaries hold
-    return FilteredComplex._build([*ids, "pt"], [*dims, 0], [*weights, NEG_INF], [*bounds, ()], "pt", positions=True)
+    return FilteredComplex._build([*ids, "pt"], [*dims, 0], [*codes, -1], weights, [*bounds, ()], "pt", positions=True)

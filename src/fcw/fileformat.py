@@ -62,8 +62,7 @@ def parse_document(text: str) -> FilteredComplex:
         raise ParseError("basepoint must be a string")
     if not isinstance(doc["cells"], list):
         raise ParseError("cells must be a list")
-    weights = {}  # weight string -> parsed value: each distinct string is parsed once
-    ids, dims, values, boundaries = [], [], [], []
+    ids, dims, codes, boundaries, weights, code_of = [], [], [], [], [], {}
     # json.loads makes plain dicts and ints: `type(v) is int` tells an int from a bool
     try:
         for position, record in enumerate(doc["cells"]):
@@ -84,16 +83,17 @@ def parse_document(text: str) -> FilteredComplex:
                     raise ParseError(f"boundary coefficient for {ref!r} must be an integer")
                 if coeff % 2:
                     refs.append(ref)
-            weight = weights.get(text) if type(text) is str else None
-            if weight is None:
-                weight = weights[text] = parse_weight(text)  # a non-string raises
+            k = code_of.get(text) if type(text) is str else None  # each distinct weight string is parsed once
+            if k is None:
+                weights.append(parse_weight(text))  # a non-string raises
+                k = code_of[text] = len(weights) - 1
             ids.append(cell_id)
             dims.append(dim)
-            values.append(weight)
+            codes.append(k)
             boundaries.append(refs)
     except ParseError as exc:
         raise ParseError(f"cell #{position}: {exc}") from exc
-    return FilteredComplex._build(ids, dims, values, boundaries, doc["basepoint"])
+    return FilteredComplex._build(ids, dims, codes, weights, boundaries, doc["basepoint"])
 
 
 def parse_complex(text: str) -> FilteredComplex:

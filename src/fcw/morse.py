@@ -17,7 +17,7 @@ from ._record import Record, instance, integer
 from .complexes import FilteredComplex, _order, _rank_weights
 from .errors import InvalidBoundaries, NegativeWeight, ParseError, UnsupportedCell, ValidationError
 from .polynomial import Polynomial
-from .rationals import NEG_INF, as_fraction, parse_rational
+from .rationals import as_fraction, parse_rational
 
 
 class CriticalPoint(Record):
@@ -87,7 +87,7 @@ def morse_complex(datum: MorseDatum, boundaries=None) -> FilteredComplex:
     other `boundaries` or chain raises ParseError, naming the chain's cell.
     """
     points = instance(datum, MorseDatum).points
-    rank, levels = _rank_weights([p.value for p in points])
+    rank, levels = _rank_weights([p.value for p in points], range(len(points)))
     order = _order(rank, [p.index for p in points])  # (value, index) order, comparing ints
     order.remove(next(i for i in order if points[i].index == 0))  # the lowest minimum is the basepoint
     names = [f"c{k}" for k in range(1, len(order) + 1)]
@@ -98,7 +98,7 @@ def morse_complex(datum: MorseDatum, boundaries=None) -> FilteredComplex:
     built = FilteredComplex._build(
         ["pt", *names],
         [0, *(points[i].index for i in order)],
-        [NEG_INF, *(levels[rank[i]] for i in order)],
+        [-1, *map(rank.__getitem__, order)], levels,
         [(), *bounds],
         "pt",
     )

@@ -170,7 +170,9 @@ def _finite_bottleneck(left, right, low) -> Fraction:
     nearest bar on the other side).  F is low, U, a half-length or a pair
     cost within min(half-length, U) of its bar, so it is a candidate, and it
     is tested first: when it is feasible, that one test settles the search.
-    Otherwise bisection runs over the candidates above F.
+    Otherwise bisection runs over the candidates above F.  Every delta tested
+    is at least F and below U, where each forced bar's box holds its nearest
+    bar of the other side, so no box is empty.
     """
     scale = 2 * lcm(low.denominator, *{v.denominator for bar in left + right for v in (bar.birth, bar.death)})
 
@@ -189,12 +191,7 @@ def _finite_bottleneck(left, right, low) -> Fraction:
         # Mendelsohn-Dulmage: a delta-matching exists iff one matching covers
         # every forced bar1 and another every forced bar2.
         for bars, others, births in directions:
-            adjacency = []
-            for b, d in bars:
-                if d - b > 2 * delta:
-                    adjacency.append(_box((b, d), others, births, delta))
-                    if not adjacency[-1]:
-                        return False
+            adjacency = [_box((b, d), others, births, delta) for b, d in bars if d - b > 2 * delta]
             if max_bipartite_matching(len(adjacency), len(others), adjacency) < len(adjacency):
                 return False
         return True
@@ -207,7 +204,7 @@ def _finite_bottleneck(left, right, low) -> Fraction:
                 floor = max(floor, _nearest((b, d), others, births, radius, floor))
     if floor == top or feasible(floor):
         return Fraction(floor, scale)
-    candidates = {low, top}
+    candidates = {top}
     for bars, others, births in directions:
         for b, d in bars:
             radius = min((d - b) // 2, top)

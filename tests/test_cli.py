@@ -55,11 +55,14 @@ def test_euler_flags():
     assert payload("euler", TORUS, "--at-one") == "-1\n"
     assert payload("euler", TORUS, "--derivative", "--at-one") == "1\n"
     assert payload("euler", TORUS, "--upto=-inf") == "0\n"
+    assert payload("euler", S2HP, "--derivative") == "-1/2*t^-1/2 + 2*t^0\n"
+    assert payload("euler", S2HP, "--at-one") == "1\n"
 
 
 def test_size_and_weighted_euler():
     assert payload("size", TORUS) == "1*t^1 + 1*t^2 + 1*t^4\n"
     assert payload("weighted-euler", TORUS) == "1\n"
+    assert payload("weighted-euler", S2HP) == "3/2\n"
 
 
 def test_match_command():
@@ -69,6 +72,7 @@ def test_match_command():
 def test_kclass_command():
     assert payload("kclass", TORUS) == "-1*t^1 + -1*t^2 + 1*t^4\n"
     assert payload("kclass", TORUS, "-n", "1") == "1*t^1 + 1*t^2 + -1*t^4\n"
+    assert payload("kclass", S2HP, "-n", "1") == "1*t^1/2 + -2*t^1\n"
 
 
 def test_barcode_command():
@@ -159,8 +163,8 @@ def test_product_wedge_suspend_shift_cutoff(tmp_path):
         assert payload("validate", str(out)) == "ok\n"
 
 
-# exit code, stdout and stderr of each construction command, pinned by sha256: how a
-# construction builds its result may change, the bytes it prints may not
+# exit code, stdout and stderr of each command that builds a complex, pinned by sha256:
+# how a command builds its result may change, the bytes it prints may not
 PINNED_INPUTS = {"torus": TORUS, "s2h": S2H, "s2hp": S2HP}
 PINNED_BYTES = {
     "wedge torus s2h": "69c4cdceaf387ec990522cb803b7e4c9238b10ae5dd3b4c7051ba63d335996b0",
@@ -193,27 +197,45 @@ PINNED_BYTES = {
     "cutoff s2hp --at 2": "4a67e4f90433ab40c9506f9397626dc00b58803ffbf5085846a677ebeff67b7e",
     "cutoff grid4 --at 2": "9e4139b34ff5592d0bb5e743490c71d08781cb9dd82c853f7265b34e80c2baef",
     "cutoff grid5 --at 2": "80d0a56f8114934fd66bad93102ae3d446417e61718a188a6bf13fa37dc0477d",
+    "sphere -k 0 -l=-inf": "7bf19edf18c19659904c7505d3cce711e13ff28c502e98c4515a1ec9abf25bd0",
+    "sphere -k 0 -l 0": "1ec2bb5ba2d133f5baf3647171b3a7061bf0f5397015fa325de717d2f2dc9513",
+    "sphere -k 0 -l 7/2": "4c869983c86471c29838230ddd838245eac1a8a1ec8e936df01fab6e5c05027c",
+    "sphere -k 2 -l=-inf": "56f164b3108855eaacedd7f1add4c09d65d9adeec34520ee22e6edddff963a58",
+    "sphere -k 2 -l 0": "fc7035457d5d68ee4b5f7f8c76589866785c59c673d1fb73ef9a9bbb0032f240",
+    "sphere -k 2 -l 7/2": "d333a0284223ee6b8160b4ae018f55ae3be77f6c1008cb95c03994e8984987e5",
+    "morse-build lonely": "7f04de00ba2aed58ee007e7179665cc68666d9e563e06c6b36425d323369b70b",
+    "morse-build lonely --boundaries attach": "f7fb21cd0b55f7e208640f4ddbfd7c3733b8af95217b2d2494f009ffb9729be9",
+    "validate ghost": "2c6993c188e28310d0963b113bb046cd877acc4634964c09d17626b8f07cb589",
 }
 
 
 @pytest.fixture(scope="module")
 def pinned_inputs(tmp_path_factory):
-    """The fixtures and two lower-star grids of sides 4 and 5 with seeded values."""
+    """The fixtures, two lower-star grids of sides 4 and 5 with seeded values,
+    a Morse datum `lonely` whose lowest minimum has a value no other point
+    has, so that its level vanishes from the built complex, attaching maps
+    `attach` for it, and `ghost`, a document whose boundary names an unknown id."""
     rng, inputs = random.Random(26), dict(PINNED_INPUTS)
+    root = tmp_path_factory.mktemp("pinned")
+    texts = {
+        "lonely": "1/3\t0\n1/2\t0\n1/2\t1\n3/4\t1\n1\t2\n2\t1\n",
+        "attach": '{"c2": ["c1", "pt"], "c3": {"c1": 1, "pt": 3}, "c4": ["c2", "c3"]}',
+        "ghost": Path(S2HP).read_text().replace('"m": 1', '"ghost": 1', 1),
+    }
     for side in (4, 5):
-        path = tmp_path_factory.mktemp("grids") / f"grid{side}.fcw"
-        path.write_text(grid_document(side, rng))
-        inputs[f"grid{side}"] = str(path)
+        texts[f"grid{side}"] = grid_document(side, rng)
+    for name, text in texts.items():
+        path = root / name
+        path.write_text(text)
+        inputs[name] = str(path)
     return inputs
 
 
 def printed_digest(case, inputs) -> str:
     """sha256 of the exit code, stdout and stderr of the command `case`, whose
-    words name files of `inputs`, flags and flag values."""
-    command, *names = case.split()
-    flags = [name for name in names if name.startswith("-") or name[0].isdigit()]
-    files = [inputs[name] for name in names if name not in flags]
-    result = run([command, *files, *flags])
+    words name files of `inputs` or are flags and flag values."""
+    command, *words = case.split()
+    result = run([command, *(inputs.get(word, word) for word in words)])
     printed = "\0".join([str(result.exit_code), result.payload, result.error])
     return hashlib.sha256(printed.encode()).hexdigest()
 
@@ -355,6 +377,12 @@ def test_morse_commands(tmp_path):
     built = tmp_path / "built.fcw"
     built.write_text(doc)
     assert payload("barcode", str(built)) == payload("barcode", S2HP)
+    # 300 lines, repeated ones among them, with 1/2 spelled `1/2`, `0.5` and `2/4`
+    spelled = (("1/2", "0.5", "2/4")[k % 3] if k % 4 == 0 else f"{k * 7 % 23}/{k % 6 + 1}" for k in range(300))
+    datum.write_text("".join(f"{value}\t{k % 4}\n" for k, value in enumerate(spelled)))
+    assert payload("morse-bounds", str(datum)) == "spheres: 2920/3\nwedges: 9057/20\n"
+    built = payload("morse-build", str(datum)).encode()
+    assert hashlib.sha256(built).hexdigest() == "13af3db0522956e96e2e434e422ee577e4b69c58f054ef6bb96579e51d04eb14"
 
 
 def test_boundaries_for_the_basepoint_are_rejected(tmp_path):
@@ -385,6 +413,7 @@ def test_linearize_command():
         "weight: 7\n"
         "euler: -1*t^1 + -1*t^2 + 1*t^4\n"
     )
+    assert payload("linearize", S2HP) == "lambda: 1*t^1/2 + 2*t^1\ncount: 3\nweight: 5/2\neuler: -1*t^1/2 + 2*t^1\n"
 
 
 def test_shift_then_unshift_is_identity(tmp_path):
@@ -408,6 +437,20 @@ def test_parse_error_exit_code(tmp_path):
     assert result.error.startswith("ParseError")
     missing = run(["euler", str(tmp_path / "nope.fcw")])
     assert missing.exit_code == 2
+    # a dim longer than the 4300 digits json.loads converts
+    huge = tmp_path / "huge.fcw"
+    huge.write_text(Path(TORUS).read_text().replace('"dim": 2', '"dim": ' + "9" * 5000))
+    result = run(["validate", str(huge)])
+    assert (result.exit_code, result.payload) == (2, "")
+    assert result.error.startswith(f"ParseError: {huge}: invalid JSON: ")
+    # `inf` is no weight, in a flag or in a document
+    result = run(["shift", TORUS, "--by", "inf"])
+    assert (result.exit_code, result.payload, result.error) == (2, "", "ParseError: --by: weight `inf` is not allowed")
+    doc = tmp_path / "inf.fcw"
+    doc.write_text(Path(TORUS).read_text().replace('"weight": "4"', '"weight": "inf"'))
+    result = run(["validate", str(doc)])
+    assert (result.exit_code, result.payload) == (2, "")
+    assert result.error == f"ParseError: {doc}: cell #3: weight `inf` is not allowed"
 
 
 def _load_errors(tmp_path, command):
@@ -453,6 +496,10 @@ def test_usage_error_exit_code():
     assert run([]).exit_code == 2
     assert run(["shift", TORUS]).exit_code == 2  # --by is required
     assert run(["shift", TORUS, "--by=-inf"]).exit_code == 2
+    assert run(["barcode"]).error.splitlines()[0] == "usage: fcw barcode [-h] file"
+    commands = "{validate,info,euler,size,weighted-euler,match,kclass,barcode,euler-curve,bottleneck,wedge,product,"
+    commands += "smash,suspend,shift,cutoff,sphere,morse-build,morse-bounds,linearize}"
+    assert commands in "".join(payload("--help").split())
 
 
 @pytest.mark.parametrize(

@@ -762,6 +762,7 @@ def test_complexes_differing_in_one_field_are_unequal(position, changed):
     x, y = FilteredComplex(SQUARE_CELLS, "pt"), FilteredComplex(cells, "pt")
     assert x != y and y != x
     assert x != FilteredComplex(SQUARE_CELLS, "v")
+    assert (x == SQUARE_CELLS) is False  # a value that is not a complex
 
 
 def test_cells_and_cell_return_records_equal_to_the_input():

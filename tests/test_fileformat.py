@@ -170,7 +170,7 @@ def test_odd_boundary_coefficients_survive():
     assert parsed.cell("n1").boundary == frozenset({"m"})
 
 
-def test_malformed_documents_raise_parse_error():
+def test_malformed_documents_raise_parse_error(tmp_path):
     good = (FIXTURES / "torus.fcw").read_text()
     huge = "9" * 5000  # longer than the 4300 digits json.loads will convert to an int
     for bad in (
@@ -189,6 +189,13 @@ def test_malformed_documents_raise_parse_error():
     ):
         with pytest.raises(ParseError):
             parse_complex(bad)
+    listed = good.replace('"boundary": {},\n      "dim": 2', '"boundary": ["a"],\n      "dim": 2')
+    with pytest.raises(ParseError, match="^cell #3: boundary must be an object$"):
+        parse_complex(listed)
+    path = tmp_path / "listed.fcw"
+    path.write_text(listed)
+    result = run(["validate", str(path)])
+    assert (result.exit_code, result.error) == (2, f"ParseError: {path}: cell #3: boundary must be an object")
 
 
 def test_unknown_keys_rejected():

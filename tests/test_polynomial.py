@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,10 @@ def test_mul_scalar_gives_sphere_class():
     for k in range(4):
         got = Polynomial.monomial(1, F(3, 2)) * ((-1) ** k)
         assert got == Polynomial.monomial((-1) ** k, F(3, 2))
+    # a str is neither a scalar nor a polynomial
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(got, "t")
 
 
 def test_derivative_of_torus_polynomial():
