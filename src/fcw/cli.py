@@ -148,9 +148,7 @@ def _cmd_euler_curve(ns) -> str:
     x = _load(ns.file)
     levels = [NEG_INF, *x.spectrum()]
     values = invariants.euler_curve(x)
-    return "r\teuler\n" + "".join(
-        f"{format_extended(r)}\t{value}\n" for r, value in zip(levels, values)
-    )
+    return "r\teuler\n" + "".join(f"{format_extended(r)}\t{value}\n" for r, value in zip(levels, values))
 
 
 def _cmd_bottleneck(ns) -> str:
@@ -168,15 +166,11 @@ def _cmd_wedge(ns) -> str:
 
 
 def _cmd_product(ns) -> str:
-    return fileformat.serialize_complex(
-        product(_load(ns.left), _load(ns.right), filtered=ns.filtered)
-    )
+    return fileformat.serialize_complex(product(_load(ns.left), _load(ns.right), filtered=ns.filtered))
 
 
 def _cmd_smash(ns) -> str:
-    return fileformat.serialize_complex(
-        smash(_load(ns.left), _load(ns.right), filtered=ns.filtered)
-    )
+    return fileformat.serialize_complex(smash(_load(ns.left), _load(ns.right), filtered=ns.filtered))
 
 
 def _cmd_suspend(ns) -> str:

@@ -87,9 +87,10 @@ class FilteredComplex:
     the entries the codes name into the levels.  A boundary id naming no cell
     gets position ``len(self) + k``, ``k`` indexing the sorted ``_unknown``
     ids, so validate() can name it.  Validity and ``Cell`` records are made
-    on first use; the views and constructions, whose operands pass
-    require_valid(), build their valid result from positions.  The other
-    modules of fcw read the tuples.
+    on first use.  sublevel, suspend, shift and cutoff keep their valid
+    operand's cell order, so they derive their result from its tuples; the
+    binary constructions build theirs from positions.  The other modules of
+    fcw read the tuples.
     """
 
     __slots__ = (
@@ -109,17 +110,13 @@ class FilteredComplex:
 
     @classmethod
     def _build(cls, ids, dims, codes, weights, boundaries, basepoint, positions=False) -> FilteredComplex:
-        """The constructor behind every complex: parallel lists in any order, cell i weighing
-        weights[codes[i]] (code -1 only if weights ends in NEG_INF; _fill ranks only the named
-        entries, once), each boundary its cells' distinct ids or, with `positions` (a
-        construction's result, valid by construction), their positions in the lists."""
+        """The constructor behind every complex _derived does not make: parallel lists in any
+        order, cell i weighing weights[codes[i]] (code -1 only if weights ends in NEG_INF; _fill
+        ranks only the named entries, once), each boundary its cells' distinct ids or, with
+        `positions` (a binary construction's result, valid by construction), their positions."""
         x = cls.__new__(cls)
         x._fill(ids, dims, codes, weights, boundaries, basepoint, positions)
         return x
-
-    def _lists(self, keep, dims) -> list[list]:
-        """_build's ids, dims and codes into _levels of the cells at `keep`, position p of dimension dims[p]."""
-        return [list(map(column.__getitem__, keep)) for column in (self._ids, dims, self._rank)]
 
     def _fill(self, ids, dims, codes, weights, boundaries, basepoint, positions=False):
         """_build's work on self; each weight is a Fraction or NEG_INF and each dimension an int."""
@@ -144,13 +141,14 @@ class FilteredComplex:
             self._bounds = tuple([tuple(sorted(map(index.__getitem__, refs))) for refs in boundaries])
         self._basepoint, self._valid, self._cells = basepoint, positions or None, None
 
-    def _reweighted(self, rank, levels) -> FilteredComplex:
-        """The same cells with new ranks and levels that keep the order of
-        the old ones and the basepoint at -inf, so validity carries over."""
+    def _derived(self, keep, dims, rank, levels, bounds) -> FilteredComplex:
+        """The valid complex of this valid complex's cells at `keep`, in that order, which must
+        stay (dim, id), with these tuples; keep=None is every cell, sharing the ids and index."""
         x = FilteredComplex.__new__(FilteredComplex)
-        for name in self.__slots__:
-            setattr(x, name, getattr(self, name))
-        x._rank, x._levels, x._cells = rank, levels, None
+        ids = self._ids if keep is None else tuple(map(self._ids.__getitem__, keep))
+        x._index = self._index if keep is None else dict(zip(ids, range(len(ids))))
+        x._ids, x._dims, x._rank, x._levels, x._bounds = ids, dims, rank, levels, bounds
+        x._basepoint, x._unknown, x._valid, x._cells = self._basepoint, (), True, None
         return x
 
     @property
@@ -268,10 +266,12 @@ class FilteredComplex:
         """The subcomplex of cells with weight <= level; weights retained."""
         top = bisect_right(self._levels, as_weight(level), 0, len(self._levels) - 1)  # ranks below weigh <= level
         kept = [i for i, r in enumerate(self.require_valid()._rank) if r < top]  # the basepoint weighs -inf
-        # a kept cell's boundary cells weigh no more than it, so they are kept too
-        at = _inverse(kept, len(self))
-        bounds = [[at[r] for r in self._bounds[i]] for i in kept]
-        return self._build(*self._lists(kept, self._dims), self._levels, bounds, self._basepoint, positions=True)
+        # a kept cell's boundary cells weigh no more than it, so they are kept too, in their order;
+        # every level below top is some kept cell's weight
+        at, dims = _inverse(kept, len(self)), tuple(map(self._dims.__getitem__, kept))
+        bounds = tuple([tuple([at[r] for r in self._bounds[i]]) for i in kept])
+        rank = tuple([r for r in self._rank if r < top])
+        return self._derived(kept, dims, rank, (*self._levels[:top], NEG_INF), bounds)
 
     def spectrum(self) -> list[Fraction]:
         """Sorted distinct finite weights among the cells."""
@@ -300,9 +300,8 @@ class FilteredComplex:
 
     def shift(self, amount) -> FilteredComplex:
         """Delay every finite weight by `amount`; eternal cells stay eternal."""
-        amount = as_fraction(amount)
-        self.require_valid()
-        return self._reweighted(self._rank, (*(w + amount for w in self._levels[:-1]), NEG_INF))
+        amount, levels = as_fraction(amount), self.require_valid()._levels
+        return self._derived(None, self._dims, self._rank, (*(w + amount for w in levels[:-1]), NEG_INF), self._bounds)
 
     def cutoff(self, floor) -> FilteredComplex:
         """Raise every non-basepoint weight to at least `floor`."""
@@ -310,18 +309,19 @@ class FilteredComplex:
         bp, levels, top = self.require_valid()._index[self._basepoint], self._levels, len(self._levels) - 1
         low = bisect_left(levels, floor, 0, top)  # ranks below low weigh < floor: they take code top, the floor
         codes = [r if r >= low or i == bp else top for i, r in enumerate(self._rank)]
-        return self._reweighted(*_rank_weights((*levels[:-1], floor, NEG_INF), codes))
+        return self._derived(None, self._dims, *_rank_weights((*levels[:-1], floor, NEG_INF), codes), self._bounds)
 
     # -- suspension ---------------------------------------------------------
 
     def suspend(self) -> FilteredComplex:
         """Raise every non-basepoint cell one dimension, same weights."""
-        at = self.require_valid()._index[self._basepoint]
-        dims = [d + (i != at) for i, d in enumerate(self._dims)]  # the basepoint's stays 0
-        # the basepoint's own boundary is empty; the other cells drop it from theirs,
-        # which keeps each boundary one dimension down and the parity of ∂∂
-        bounds = [[r for r in bound if r != at] for bound in self._bounds]
-        return self._build(*self._lists(range(len(self)), dims), self._levels, bounds, self._basepoint, positions=True)
+        bp, n = self.require_valid()._index[self._basepoint], len(self)
+        keep = [bp, *range(bp), *range(bp + 1, n)]  # the basepoint, the one 0-cell left, goes first
+        # the other cells keep their order one dimension up, a cell before the basepoint one position
+        # later, and drop the basepoint from their boundaries, which keeps the parity of ∂∂
+        bounds = tuple([tuple([r + (r < bp) for r in self._bounds[i] if r != bp]) for i in keep])
+        dims = (0, *[self._dims[i] + 1 for i in keep[1:]])
+        return self._derived(keep, dims, tuple(map(self._rank.__getitem__, keep)), self._levels, bounds)
 
     # -- renaming -----------------------------------------------------------
 
@@ -363,16 +363,15 @@ def _operand(x) -> FilteredComplex:
 
 def wedge(x: FilteredComplex, y: FilteredComplex) -> FilteredComplex:
     """One-point union: operand cells prefixed `l.` / `r.`, basepoints merged."""
-    lists = ["pt"], [0], [-1], [()]  # codes index x's levels, then y's: each table ends in -inf
+    ids, dims, codes, bounds = ["pt"], [0], [-1], [()]  # codes index x's levels, then y's: each table ends in -inf
     for prefix, operand, offset in (("l.", _operand(x), 0), ("r.", _operand(y), len(x._levels))):
-        bp, n, base = operand._index[operand.basepoint], len(operand), len(lists[0])
+        bp, n, base = operand._index[operand.basepoint], len(operand), len(ids)
         keep = [*range(bp), *range(bp + 1, n)]
         at = [*range(base, base + bp), 0, *range(base + bp, base + n - 1)]  # the basepoint goes to pt
-        ids, dims, ranks = operand._lists(keep, operand._dims)
-        bounds = [[at[r] for r in operand._bounds[i]] for i in keep]
-        for out, part in zip(lists, ([prefix + name for name in ids], dims, [r + offset for r in ranks], bounds)):
-            out += part
-    ids, dims, codes, bounds = lists
+        ids += [prefix + operand._ids[i] for i in keep]
+        dims += map(operand._dims.__getitem__, keep)
+        codes += [operand._rank[i] + offset for i in keep]
+        bounds += [[at[r] for r in operand._bounds[i]] for i in keep]
     return FilteredComplex._build(ids, dims, codes, (*x._levels, *y._levels), bounds, "pt", positions=True)
 
 

@@ -10,6 +10,7 @@ terms -- so identical complexes always produce identical bytes.
 from __future__ import annotations
 
 import json
+import sys
 from json.encoder import encode_basestring_ascii
 
 from ._record import instance
@@ -43,8 +44,10 @@ def load_json(text: str):
     """json.loads, with malformed, too deeply nested or overlong-integer text as ParseError."""
     try:
         return json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
+    except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+    except ValueError as exc:  # json.loads's only other ValueError: an integer longer than int() converts
+        raise ParseError(f"invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits") from exc
     except RecursionError as exc:
         raise ParseError("invalid JSON: nested too deeply") from exc
 

@@ -10,6 +10,7 @@ size/Euler invariant and a documented choice for homology.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
 from fractions import Fraction
 
@@ -69,7 +70,10 @@ def parse_morse_datum(text: str) -> MorseDatum:
             value = parse_rational(fields[0])
             if not (fields[1].isascii() and fields[1].isdigit()):
                 raise ValueError(f"Morse index must be ASCII decimal digits, got {fields[1]!r}")
-            points.append(CriticalPoint(value, int(fields[1])))
+            try:
+                points.append(CriticalPoint(value, int(fields[1])))
+            except ValueError:  # ASCII digits, more than int() converts
+                raise ValueError(f"Morse index has more than {sys.get_int_max_str_digits()} digits") from None
     except ValueError as exc:
         raise ParseError(f"line {lineno}: {exc}") from exc
     try:

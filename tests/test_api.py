@@ -46,6 +46,17 @@ def test_a_fresh_package_lists_its_names_before_loading_them():
     assert out.stdout.splitlines()[-1] == "True []"
 
 
+def test_no_source_line_is_longer_than_120_characters():
+    src = Path(__file__).parents[1] / "src" / "fcw"
+    long = [
+        f"{path.name}:{number}"
+        for path in sorted(src.glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if len(line) > 120
+    ]
+    assert long == []
+
+
 def test_every_public_name_resolves():
     for name in fcw.__all__:
         assert getattr(fcw, name) is not None, name

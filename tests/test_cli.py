@@ -245,6 +245,85 @@ def test_construction_commands_print_their_pinned_bytes(pinned_inputs, case):
     assert printed_digest(case, pinned_inputs) == PINNED_BYTES[case]
 
 
+# the same for each command that reads complexes or Morse data and prints what it finds
+PINNED_QUERIES = {
+    "barcode torus": "b2783ca8370051f5d7af01459620a0e36f3df68292ab29676cb489a2c19dc9f5",
+    "euler-curve torus": "df4f1a3b9c0ef51fdf2b9ecc653a0462f0b560b909f7eb094bc47238cf6c071b",
+    "info torus": "bac518cd6a75813d5975a7d17e1e0aa0a656ecb97319502e241d6910925d0fa0",
+    "validate torus": "780bb5146b3cb7e0b131f70a700e38722133eeb991aac95040bfe3558289d83b",
+    "euler torus": "522e64731776167c8f5e49e9a550f86f8fa146925065d37461a86cf9bbd7e979",
+    "euler torus --upto 2": "dfb2fa93f4632d84ec4578e09272a1c657d5dd6b6205bbb18e87e8271ee18524",
+    "euler torus --derivative": "4754ed743680ba5a8b32f2bb246c5e7196837cf626698d7671ef05973dcbece1",
+    "euler torus --at-one": "425c60d6c3710df8380784931db92d80c8f114de2e29da7bc7e26445fa2338ab",
+    "size torus": "d94ab71ada94f7ba80cfb8bbd1ba5831c71329beee6f8a5e7fe50483c8df001e",
+    "weighted-euler torus": "63400b7c6c5bc09fc7350f2c6543f5de81c3648cd8adcf18a16d7bfa62aba7de",
+    "kclass torus -n 0": "522e64731776167c8f5e49e9a550f86f8fa146925065d37461a86cf9bbd7e979",
+    "kclass torus -n 1": "e2e2c2ead46eade00ed02a71b8d572eb6a4db82e9d36ab1e54d6101ffd5beb68",
+    "linearize torus": "027ee92fe69b7c2bc4864e5efe81f2464aee9844a51e9254d30342c375549fac",
+    "barcode s2h": "93110f80c64faeb16a63ff669bc3aeaacbf13874d25a067a079d82110b01fbd7",
+    "euler-curve s2h": "db3d85a47d79e62aeaa41c01ee63356561dad3d79a3db92beefe87c1273c4d88",
+    "info s2h": "7c84b9bea340a3cde9646add7bffe83c7b231e7ef907a7093da3f5fe7b0d2f73",
+    "validate s2h": "780bb5146b3cb7e0b131f70a700e38722133eeb991aac95040bfe3558289d83b",
+    "euler s2h": "c2ce0bc3abffb64f5eadea8aa858921193f3380d4fef56e8a5dc22778209d6f6",
+    "euler s2h --upto 2": "c2ce0bc3abffb64f5eadea8aa858921193f3380d4fef56e8a5dc22778209d6f6",
+    "euler s2h --derivative": "f52ef04ee38530eb975df5110c2672785dc7d8a2bbdbb7b9e27a9049111d7579",
+    "euler s2h --at-one": "63400b7c6c5bc09fc7350f2c6543f5de81c3648cd8adcf18a16d7bfa62aba7de",
+    "size s2h": "c2ce0bc3abffb64f5eadea8aa858921193f3380d4fef56e8a5dc22778209d6f6",
+    "weighted-euler s2h": "63400b7c6c5bc09fc7350f2c6543f5de81c3648cd8adcf18a16d7bfa62aba7de",
+    "kclass s2h -n 0": "c2ce0bc3abffb64f5eadea8aa858921193f3380d4fef56e8a5dc22778209d6f6",
+    "kclass s2h -n 1": "7f94caaefefaeacab87c46bd7883584d7b74c47af4d9c5497e8a8450dbd6385e",
+    "linearize s2h": "4b32c447b4df4a835fe2489a37306f0aa71e4847dfb77e79ead52e64d3547756",
+    "barcode s2hp": "f026140803747ca00877f2092a6c334930c206e187af6407ce4b400766261e9c",
+    "euler-curve s2hp": "06fa36518836005cdf944e1e57e7db6c13cb3fb77921d9581e41cfff1b230dcb",
+    "info s2hp": "52105e64ade809e5984c2a08a003ed7eecdd6d63f8a437de46e8d6f8a3923f99",
+    "validate s2hp": "780bb5146b3cb7e0b131f70a700e38722133eeb991aac95040bfe3558289d83b",
+    "euler s2hp": "8315e454cc2b12d4a01dd3ff82752a4220a23a79182024009ff89ba626f2c7f6",
+    "euler s2hp --upto 2": "8315e454cc2b12d4a01dd3ff82752a4220a23a79182024009ff89ba626f2c7f6",
+    "euler s2hp --derivative": "3b11cccf67466b664cfde40cbfbdfdd75ecdae3b490237e29a43b89be62aaef2",
+    "euler s2hp --at-one": "63400b7c6c5bc09fc7350f2c6543f5de81c3648cd8adcf18a16d7bfa62aba7de",
+    "size s2hp": "d33df1a48514dacd9fe42c1404e3d1cbb7dc946d8a914ffbcb37a0257aa4c236",
+    "weighted-euler s2hp": "8ebd49832c9c81e919a4ce42d638521467abefdf419cba74628decaa48fbe7e3",
+    "kclass s2hp -n 0": "8315e454cc2b12d4a01dd3ff82752a4220a23a79182024009ff89ba626f2c7f6",
+    "kclass s2hp -n 1": "e13707297c1214f7ddf80ea95f8f34ab1bb6b874b41d6b76a8cf7c3f175bf9c8",
+    "linearize s2hp": "23f790de8a3c22216222614b0d148ca7dc78c2379a4c8b77e1cdb538d2d31efe",
+    "barcode grid4": "eaacc693a3bc53d65ed7d43d0677f1f85444dddf05b23205c44995ead0892023",
+    "euler-curve grid4": "c5a0d982f9b6a9597677a42481781c76ccc5612d9740fdcaea4d8bb55e2fe5f8",
+    "info grid4": "1af3b0d04da1915ecd897ee50039770ec4d04b8ec299fab01e3397c9fd8b95c1",
+    "validate grid4": "780bb5146b3cb7e0b131f70a700e38722133eeb991aac95040bfe3558289d83b",
+    "euler grid4": "8531ad622da6c77cafb2be5ed68e4caea636f97e126beb96fe4ac34c27fea902",
+    "euler grid4 --upto 2": "5d3656753cfcd0e69d39a6afc6027bff11e2423f5ed9761deea06874975efa0b",
+    "euler grid4 --derivative": "051aa4c2701aacf6b483be8eee13f01baf58640ce8fe1cbb7634ddf9fbf0f37a",
+    "euler grid4 --at-one": "63400b7c6c5bc09fc7350f2c6543f5de81c3648cd8adcf18a16d7bfa62aba7de",
+    "size grid4": "3713937bf66c388debf25da9bc5176a72ec87ea859a62ee1914abcb47ab6e7c4",
+    "weighted-euler grid4": "3eecfef0d81d332bf6a0132e48deb887da5593a44eb33074637ebb2ab3b4e72a",
+    "kclass grid4 -n 0": "8531ad622da6c77cafb2be5ed68e4caea636f97e126beb96fe4ac34c27fea902",
+    "kclass grid4 -n 1": "2313cabf7252ad45f10924b2dee3922d105d983417f4801d69ccfa986058264b",
+    "linearize grid4": "34c0640150bccb1b9480c47bef3a85fd3fde33ae605e5741ddb1eb661d0aa073",  # exit 1, UnsupportedCell
+    "barcode grid5": "cf558550e2874d75a81d8e4dc233e770620bce2b06b1b5469063976ab99f971e",
+    "euler-curve grid5": "b846bdc0c8e683107194d7aeff9404ad92e4fc668dd33b681b24e57a391e4fbb",
+    "info grid5": "15abdcaba10035242be28093b1552ff46cfc70cad2fdeacba75621af94e0fa45",
+    "validate grid5": "780bb5146b3cb7e0b131f70a700e38722133eeb991aac95040bfe3558289d83b",
+    "euler grid5": "b99ba3cdf97b1078328a9d6e8dd713fe680e1811bb14cbec4454b05074bee3ab",
+    "euler grid5 --upto 2": "d7d2fc69d43aa6c3794ed1689f94352bb91b00816bd14a034089dce6efb77e6b",
+    "euler grid5 --derivative": "cc720bdf705c248902a0b24b737becec7abb90e02a98830e514c9196c34e2964",
+    "euler grid5 --at-one": "63400b7c6c5bc09fc7350f2c6543f5de81c3648cd8adcf18a16d7bfa62aba7de",
+    "size grid5": "b07f5addd348d57468df2e79995b6c16c4103e61c7b0c2b259dc376d39dbe4e2",
+    "weighted-euler grid5": "905eec256538333b400e01989dd878b06389b010858305f4866f54436e0a0c65",
+    "kclass grid5 -n 0": "b99ba3cdf97b1078328a9d6e8dd713fe680e1811bb14cbec4454b05074bee3ab",
+    "kclass grid5 -n 1": "686525fc70123ef6af31280db5f8d59b11a04f654030f288c975d6b347c5201a",
+    "linearize grid5": "0a7420db13b5829b562ea41ccc3e2456e3fbde64a60beb2a5b224b6225f65b17",  # exit 1, UnsupportedCell
+    "match s2h s2hp": "63400b7c6c5bc09fc7350f2c6543f5de81c3648cd8adcf18a16d7bfa62aba7de",
+    "match torus s2h": "c9088c9addca68baef396265fb8961dffe37d05ebde7753b9c44fe1d26ab5087",  # exit 1, EulerMismatch
+    "match grid4 grid5": "d9b877ced18282e72021744fee875b9b864272d28e33f68a886f60958135fe03",
+    "morse-bounds lonely": "d58d733a3f364f20e4bba0dd1b18988b26c73e15e06e43b576aa315ad59d1af5",
+}
+
+
+@pytest.mark.parametrize("case", PINNED_QUERIES)
+def test_query_commands_print_their_pinned_bytes(pinned_inputs, case):
+    assert printed_digest(case, pinned_inputs) == PINNED_QUERIES[case]
+
+
 # the same for `bottleneck`: how it searches may change, the distance it prints may not
 PINNED_BOTTLENECK = {
     "bottleneck torus s2h": "c90ccbf5a0c82a7994714560deb8157f51325598c27cebd8958349c4c83275fa",  # inf
@@ -441,8 +520,9 @@ def test_parse_error_exit_code(tmp_path):
     huge = tmp_path / "huge.fcw"
     huge.write_text(Path(TORUS).read_text().replace('"dim": 2', '"dim": ' + "9" * 5000))
     result = run(["validate", str(huge)])
+    limit = sys.get_int_max_str_digits()
     assert (result.exit_code, result.payload) == (2, "")
-    assert result.error.startswith(f"ParseError: {huge}: invalid JSON: ")
+    assert result.error == f"ParseError: {huge}: invalid JSON: an integer has more than {limit} digits"
     # `inf` is no weight, in a flag or in a document
     result = run(["shift", TORUS, "--by", "inf"])
     assert (result.exit_code, result.payload, result.error) == (2, "", "ParseError: --by: weight `inf` is not allowed")
@@ -460,7 +540,11 @@ def _load_errors(tmp_path, command):
         datum, broken = tmp_path / "ok.morse", tmp_path / "broken.morse"
         datum.write_text("0\t0\n1\t1\n")
         broken.write_text("0\t0\n1\tx\n")
+        huge = tmp_path / "huge.morse"  # an index longer than the 4300 digits int() converts
+        huge.write_text("0\t0\n1\t" + "1" * 5000 + "\n")
+        too_long = f"ParseError: {{}}: line 2: Morse index has more than {sys.get_int_max_str_digits()} digits"
         cases = [([command, str(broken)], broken, 2, "ParseError: {}: line 2: Morse index")]
+        cases.append(([command, str(huge)], huge, 2, too_long))
         if command == "morse-build":
             for name, text, message in (
                 ("truncated.json", '{"c1": ', "invalid JSON"),
@@ -596,8 +680,8 @@ def test_overlong_json_integer_in_boundaries_is_a_parse_error(tmp_path):
     datum = tmp_path / "heights.morse"
     datum.write_text("0\t0\n1\t1\n")
     result = run(["morse-build", str(datum), "--boundaries", str(boundaries)])
-    assert result.exit_code == 2
-    assert result.error.startswith("ParseError:")
+    message = f"ParseError: {boundaries}: invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits"
+    assert (result.exit_code, result.payload, result.error) == (2, "", message)
 
 
 def primes(count):

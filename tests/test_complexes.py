@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 from helpers import (
+    grid_document,
     random_complex,
     reference_product,
     reference_smash,
@@ -30,6 +31,7 @@ from fcw import (
     invariant_report,
     k_class,
     matching_number,
+    parse_complex,
     parse_document,
     point,
     product,
@@ -301,6 +303,31 @@ def test_reweighting_and_sublevels_match_their_per_cell_definitions():
             assert got == below and hash(got) == hash(below)
             assert x.euler_char_sublevel(level) == sum((-1) ** c.dim for c in x.cells if c.weight <= level)
     assert eternal_cells > 0
+
+
+def test_views_derive_their_result_without_rebuilding_it(monkeypatch):
+    # sublevel, suspend, shift and cutoff keep their operand's cell order, so
+    # each takes its result from the operand's tuples and never runs _fill; the
+    # basepoint, renamed, sorts after the other 0-cells, so suspend must move it
+    x = parse_complex(grid_document(6, random.Random(37))).rename({"pt": "z"})
+    bp, points = x.basepoint, x.spectrum()
+    floor = points[len(points) // 2]
+    sublevels = [(r, reference_sublevel(x, r)) for r in (NEG_INF, *points, points[-1] + 1)]
+    once = reference_suspend(x)
+    twice = reference_suspend(once)
+    shifted = _per_cell(x, lambda c: c.weight if c.eternal else c.weight + F(3, 7))
+    raised = _per_cell(x, lambda c: c.weight if c.id == bp or (not c.eternal and c.weight >= floor) else floor)
+
+    def rebuilt(*args):
+        raise AssertionError("a view rebuilt its result")
+
+    monkeypatch.setattr(FilteredComplex, "_fill", rebuilt)
+    for level, reference in sublevels:
+        assert x.sublevel(level) == reference
+    assert x.suspend() == once
+    assert x.suspend().suspend() == twice
+    assert x.shift(F(3, 7)) == shifted
+    assert x.cutoff(floor) == raised
 
 
 def test_reweighting_keeps_a_complex_valid():
